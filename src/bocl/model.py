@@ -105,23 +105,34 @@ class StructuralModel:
             tuple(sorted(self.associations, key=lambda a: a.name)),
         )
         object.__setattr__(self, "constraints", tuple(self.constraints))
+        # Lookup tables, built eagerly so the model stays immutable. They are
+        # plain attributes, not fields: equality, hash and repr ignore them.
+        # On duplicate names the first class or association wins; an
+        # ambiguous role keeps the last association in name order.
+        classes: dict[str, ClassDef] = {}
+        for cls in self.classes:
+            classes.setdefault(cls.name, cls)
+        associations: dict[str, BinaryAssociation] = {}
+        roles: dict[str, dict[str, tuple[BinaryAssociation, AssociationEnd]]] = {}
+        for assoc in self.associations:
+            associations.setdefault(assoc.name, assoc)
+            for end, opposite in ((assoc.end1, assoc.end2), (assoc.end2, assoc.end1)):
+                roles.setdefault(opposite.target.name, {})[end.role] = (assoc, end)
+        object.__setattr__(self, "_classes", classes)
+        object.__setattr__(self, "_associations", associations)
+        object.__setattr__(self, "_roles", roles)
 
     def class_named(self, name: str) -> ClassDef | None:
-        for cls in self.classes:
-            if cls.name == name:
-                return cls
-        return None
+        return self._classes.get(name)
+
+    def association_named(self, name: str) -> BinaryAssociation | None:
+        return self._associations.get(name)
 
     def navigable_ends(
         self, cls: ClassDef
     ) -> dict[str, tuple[BinaryAssociation, AssociationEnd]]:
         """Role name -> (association, far end) for every end reachable from cls."""
-        ends: dict[str, tuple[BinaryAssociation, AssociationEnd]] = {}
-        for assoc in self.associations:
-            for end, opposite in ((assoc.end1, assoc.end2), (assoc.end2, assoc.end1)):
-                if opposite.target.name == cls.name:
-                    ends[end.role] = (assoc, end)
-        return ends
+        return dict(self._roles.get(cls.name, {}))
 
 
 # ---------- Object model ----------
@@ -178,12 +189,40 @@ class ObjectModel:
         )
         link_key = lambda l: (l.association.name, l.end1_object.name, l.end2_object.name, l.name)
         object.__setattr__(self, "links", tuple(sorted(self.links, key=link_key)))
+        # Lookup tables, built eagerly as in StructuralModel; the first object
+        # of a duplicate name wins. Adjacency maps an association name to the
+        # pair (toward end1, toward end2) of near object name -> far objects.
+        by_name: dict[str, ObjectInstance] = {}
+        by_class: dict[str, list[ObjectInstance]] = {}
+        for obj in self.objects:
+            by_name.setdefault(obj.name, obj)
+            by_class.setdefault(obj.classifier.name, []).append(obj)
+        adjacency: dict[str, tuple[dict, dict]] = {}
+        for link in self.links:
+            if link.association.name not in adjacency:
+                adjacency[link.association.name] = ({}, {})
+            toward_end1, toward_end2 = adjacency[link.association.name]
+            _adjoin(toward_end1, link.end2_object, link.end1_object)
+            _adjoin(toward_end2, link.end1_object, link.end2_object)
+        object.__setattr__(self, "_objects", by_name)
+        object.__setattr__(self, "_instances", by_class)
+        object.__setattr__(self, "_adjacency", adjacency)
 
     def object_named(self, name: str) -> ObjectInstance | None:
-        for obj in self.objects:
-            if obj.name == name:
-                return obj
-        return None
+        return self._objects.get(name)
+
+
+def _adjoin(
+    rows: dict[str, list[ObjectInstance]], near: ObjectInstance, far: ObjectInstance
+) -> None:
+    # Links come sorted by (association, end1 name, end2 name), so one near
+    # object's far objects come sorted by name with repeats adjacent; the
+    # last link to a repeated name wins.
+    row = rows.setdefault(near.name, [])
+    if row and row[-1].name == far.name:
+        row[-1] = far
+    else:
+        row.append(far)
 
 
 # ---------- Diagnostics ----------
@@ -366,11 +405,7 @@ def validate_conformance(
 
     for link in objects.links:
         path = f"links[{link.name}]"
-        model_assoc = None
-        for assoc in model.associations:
-            if assoc.name == link.association.name:
-                model_assoc = assoc
-                break
+        model_assoc = model.association_named(link.association.name)
         if model_assoc is None or model_assoc != link.association:
             diags.append(
                 _error(path, f"unknown association '{link.association.name}'")
@@ -398,8 +433,8 @@ def validate_conformance(
 
     # Counts are advisory: partially populated scenarios stay loadable.
     for obj in objects.objects:
-        for role, (assoc, end) in sorted(model.navigable_ends(obj.classifier).items()):
-            count = len(navigate(objects, obj, role, model))
+        for role, (assoc, end) in sorted(model._roles.get(obj.classifier.name, {}).items()):
+            count = len(_far_objects(objects, obj, assoc, end))
             mult = end.multiplicity
             if count < mult.lower or (mult.upper is not None and count > mult.upper):
                 diags.append(
@@ -417,7 +452,7 @@ def validate_conformance(
 
 def instances_of(objects: ObjectModel, cls: ClassDef) -> list[ObjectInstance]:
     """All instances of cls, ordered by object name."""
-    return [obj for obj in objects.objects if obj.classifier.name == cls.name]
+    return list(objects._instances.get(cls.name, ()))
 
 
 def navigate(
@@ -432,19 +467,20 @@ def navigate(
     Raises UnknownRoleError when no end with that role is navigable from
     source's class.
     """
-    lookup = model.navigable_ends(source.classifier)
-    if role_name not in lookup:
+    ends = model._roles.get(source.classifier.name, {})
+    if role_name not in ends:
         raise UnknownRoleError(role_name, source.classifier.name)
-    assoc, end = lookup[role_name]
+    return list(_far_objects(objects, source, *ends[role_name]))
 
-    found: dict[str, ObjectInstance] = {}
-    for link in objects.links:
-        if link.association.name != assoc.name:
-            continue
-        if end is assoc.end1:
-            near, far = link.end2_object, link.end1_object
-        else:
-            near, far = link.end1_object, link.end2_object
-        if near.name == source.name:
-            found[far.name] = far
-    return [found[name] for name in sorted(found)]
+
+def _far_objects(
+    objects: ObjectModel,
+    source: ObjectInstance,
+    assoc: BinaryAssociation,
+    end: AssociationEnd,
+) -> list[ObjectInstance]:
+    """The adjacency row itself, not a copy: callers must not mutate it."""
+    toward = objects._adjacency.get(assoc.name)
+    if toward is None:
+        return []
+    return toward[0 if end is assoc.end1 else 1].get(source.name, [])

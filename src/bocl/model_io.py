@@ -382,11 +382,7 @@ def objects_from_document(doc: dict, model: StructuralModel) -> ObjectModel:
         where = f"links[{i}]"
         _check_keys(raw, {"association", "ends"}, {"name"}, where)
         assoc_name = _str_field(raw, "association", where)
-        assoc = None
-        for candidate in model.associations:
-            if candidate.name == assoc_name:
-                assoc = candidate
-                break
+        assoc = model.association_named(assoc_name)
         if assoc is None:
             raise IoError(
                 IoErrorKind.CONFORMANCE, f"{where}: unknown association {assoc_name!r}"

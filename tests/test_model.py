@@ -1,3 +1,4 @@
+import dataclasses
 import datetime
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from bocl.model import (
     AssociationEnd,
+    Attribute,
     BinaryAssociation,
     ClassDef,
     LinkInstance,
@@ -23,6 +25,7 @@ from bocl.model import (
 )
 
 from generators import make_random_model, make_random_objects
+from reference_eval import RefEvalError, _linked_objects
 
 
 def test_library_model_is_valid(built_model):
@@ -253,6 +256,164 @@ def test_navigate_independent_of_link_insertion_order(built_model, built_objects
     assert navigate(flipped, book_obj, "locatedIn", built_model) == navigate(
         built_objects, book_obj, "locatedIn", built_model
     )
+
+
+# -- lookup tables against brute-force scans --
+
+def _scan_navigable_ends(model, cls):
+    ends = {}
+    for assoc in model.associations:
+        for end, opposite in ((assoc.end1, assoc.end2), (assoc.end2, assoc.end1)):
+            if opposite.target.name == cls.name:
+                ends[end.role] = (assoc, end)
+    return ends
+
+
+def _assert_tables_match_scans(model, objects):
+    names = {c.name for c in model.classes} | {"Missing"}
+    for name in sorted(names):
+        assert model.class_named(name) is next(
+            (c for c in model.classes if c.name == name), None
+        )
+    classes = list(model.classes) + [o.classifier for o in objects.objects]
+    for cls in classes:
+        assert model.navigable_ends(cls) == _scan_navigable_ends(model, cls)
+        assert instances_of(objects, cls) == [
+            o for o in objects.objects if o.classifier.name == cls.name
+        ]
+    for name in sorted({o.name for o in objects.objects} | {"missing"}):
+        assert objects.object_named(name) is next(
+            (o for o in objects.objects if o.name == name), None
+        )
+    for obj in objects.objects:
+        for role in sorted(model.navigable_ends(obj.classifier)) + ["noSuchRole"]:
+            try:
+                expected = _linked_objects(objects, model, obj, role)
+            except RefEvalError:
+                with pytest.raises(UnknownRoleError):
+                    navigate(objects, obj, role, model)
+                continue
+            got = navigate(objects, obj, role, model)
+            assert [id(o) for o in got] == [id(o) for o in expected]
+
+
+def test_tables_match_scans_on_random_scenarios():
+    rng = random.Random(7)
+    for _ in range(200):
+        model = make_random_model(rng)
+        objects = make_random_objects(rng, model, max_objects=rng.randint(0, 8))
+        _assert_tables_match_scans(model, objects)
+        flipped = ObjectModel("flipped", objects.objects[::-1], objects.links[::-1])
+        _assert_tables_match_scans(model, flipped)
+
+
+def test_tables_match_scans_on_library(built_model, built_objects):
+    _assert_tables_match_scans(built_model, built_objects)
+
+
+def _person_model():
+    person = ClassDef("Person")
+    parenthood = BinaryAssociation(
+        "parenthood",
+        AssociationEnd("parents", person, Multiplicity(0, 2)),
+        AssociationEnd("children", person, Multiplicity(0, None)),
+    )
+    return person, parenthood, StructuralModel("family", (person,), (parenthood,))
+
+
+def test_self_association_navigates_each_role_its_own_way():
+    person, parenthood, model = _person_model()
+    mum, kid, baby = (ObjectInstance(n, person, {}) for n in ("mum", "kid", "baby"))
+    links = (
+        LinkInstance("l1", parenthood, mum, kid),
+        LinkInstance("l2", parenthood, mum, baby),
+        LinkInstance("l3", parenthood, mum, kid),  # the same link twice
+    )
+    for order in (links, links[::-1]):
+        objects = ObjectModel("m", (mum, kid, baby), order)
+        assert navigate(objects, mum, "children", model) == [baby, kid]
+        assert navigate(objects, mum, "parents", model) == []
+        assert navigate(objects, kid, "parents", model) == [mum]
+        _assert_tables_match_scans(model, objects)
+
+
+def test_unvalidated_duplicates_keep_first_and_last_wins_rules():
+    first_a, second_a = ClassDef("A"), ClassDef("A", (Attribute("x", PrimitiveType.INT),))
+    c = ClassDef("C")
+    old = BinaryAssociation(
+        "a_old",
+        AssociationEnd("r", first_a, Multiplicity(0, None)),
+        AssociationEnd("back", c, Multiplicity(0, None)),
+    )
+    new = BinaryAssociation(
+        "b_new",
+        AssociationEnd("r", first_a, Multiplicity(0, None)),
+        AssociationEnd("back2", c, Multiplicity(0, None)),
+    )
+    model = StructuralModel("dup", (first_a, c, second_a), (new, old))
+    assert validate_structural(model)  # duplicate class, ambiguous role
+    assert model.class_named("A") is first_a
+    assert model.navigable_ends(c)["r"] == (new, new.end1)
+
+    src = ObjectInstance("src", c, {})
+    twin1 = ObjectInstance("twin", first_a, {})
+    twin2 = ObjectInstance("twin", second_a, {})
+    links = (
+        LinkInstance("z", new, twin1, src),
+        LinkInstance("y", new, twin2, src),
+        LinkInstance("x", old, twin2, src),
+    )
+    for order in (links, links[::-1]):
+        objects = ObjectModel("m", (twin1, src, twin2), order)
+        assert objects.object_named("twin") is twin1
+        # Both links reach a far object named twin; link "z" sorts last.
+        assert navigate(objects, src, "r", model) == [twin1]
+        assert [o.name for o in instances_of(objects, first_a)] == ["twin", "twin"]
+        _assert_tables_match_scans(model, objects)
+    with pytest.raises(UnknownRoleError):
+        navigate(objects, src, "back", model)
+
+
+def test_query_results_do_not_alias_the_tables(built_model, built_objects):
+    library = built_model.class_named("Library")
+    book = built_model.class_named("Book")
+    lib_obj = built_objects.object_named("library_obj")
+    ends = built_model.navigable_ends(library)
+    linked = navigate(built_objects, lib_obj, "contains", built_model)
+    books = instances_of(built_objects, book)
+    expected = (dict(ends), list(linked), list(books))
+
+    ends.clear()
+    ends["bogus"] = None
+    linked.append(lib_obj)
+    books.clear()
+
+    assert built_model.navigable_ends(library) == expected[0]
+    assert navigate(built_objects, lib_obj, "contains", built_model) == expected[1]
+    assert instances_of(built_objects, book) == expected[2]
+    assert validate_conformance(built_objects, built_model) == []
+
+
+def test_tables_are_not_dataclass_fields(built_model, built_objects):
+    assert [f.name for f in dataclasses.fields(StructuralModel)] == [
+        "name", "classes", "associations", "constraints",
+    ]
+    assert [f.name for f in dataclasses.fields(ObjectModel)] == ["name", "objects", "links"]
+    rebuilt_model = StructuralModel(
+        built_model.name,
+        built_model.classes[::-1],
+        built_model.associations[::-1],
+        built_model.constraints,
+    )
+    assert rebuilt_model == built_model
+    assert hash(rebuilt_model) == hash(built_model)
+    assert repr(rebuilt_model) == repr(built_model)
+    rebuilt_objects = ObjectModel(
+        built_objects.name, built_objects.objects[::-1], built_objects.links[::-1]
+    )
+    assert rebuilt_objects == built_objects
+    assert repr(rebuilt_objects) == repr(built_objects)
+    assert ObjectModel("other", built_objects.objects) != built_objects
 
 
 def test_object_model_canonicalizes_order(built_model):
