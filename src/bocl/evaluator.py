@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import datetime
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -25,84 +25,16 @@ from .ast import (
     VariableExp,
 )
 from .lexer import ParseError
-from .model import (
-    LiteralValue,
-    ObjectInstance,
-    ObjectModel,
-    PrimitiveType,
-    StructuralModel,
-    instances_of,
-    navigate,
-)
+from .model import ObjectModel, StructuralModel, instances_of, navigate
 from .parser import parse_constraint
 from .resolver import (
     AttributeAccess,
-    NavigationAccess,
     ResolutionFailure,
     TypedConstraint,
     TypedExpr,
+    TypeKind,
     resolve,
 )
-
-# ---------- Runtime values ----------
-
-class Value:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class VBool(Value):
-    value: bool
-
-
-@dataclass(frozen=True)
-class VInt(Value):
-    value: int
-
-
-@dataclass(frozen=True)
-class VReal(Value):
-    value: float
-
-
-@dataclass(frozen=True)
-class VStr(Value):
-    value: str
-
-
-@dataclass(frozen=True)
-class VDate(Value):
-    value: datetime.date
-
-
-@dataclass(frozen=True)
-class VObject(Value):
-    obj: ObjectInstance
-
-
-@dataclass(frozen=True)
-class VCollection(Value):
-    items: tuple[Value, ...]
-
-    def __post_init__(self) -> None:
-        kinds = {type(item) for item in self.items}
-        if len(kinds) > 1:
-            names = ", ".join(sorted(k.__name__ for k in kinds))
-            raise ValueError(f"collection elements must share one kind, got {names}")
-
-
-_LITERAL_VARIANTS = {
-    PrimitiveType.BOOL: VBool,
-    PrimitiveType.INT: VInt,
-    PrimitiveType.REAL: VReal,
-    PrimitiveType.STR: VStr,
-    PrimitiveType.DATE: VDate,
-}
-
-
-def literal_to_value(literal: LiteralValue) -> Value:
-    return _LITERAL_VARIANTS[literal.kind](literal.value)
-
 
 # ---------- Runtime errors ----------
 
@@ -122,30 +54,9 @@ class NavigationEmptyError(EvalError):
     pass
 
 
-# ---------- Environment ----------
-
-class Environment:
-    """The contextual instance plus a stack of iterator-variable bindings."""
-
-    __slots__ = ("self_object", "_bindings")
-
-    def __init__(self, self_object: ObjectInstance):
-        self.self_object = self_object
-        self._bindings: list[tuple[str, Value]] = []
-
-    def push(self, name: str, value: Value) -> None:
-        if name == "self":
-            raise ValueError("'self' cannot be rebound")
-        self._bindings.append((name, value))
-
-    def pop(self) -> None:
-        self._bindings.pop()
-
-    def lookup(self, name: str) -> Value:
-        for bound, value in reversed(self._bindings):
-            if bound == name:
-                return value
-        raise KeyError(name)
+# The Error message of a constraint too deeply nested to parse, resolve or
+# evaluate within Python's recursion limit.
+TOO_DEEP_MESSAGE = "expression nests too deeply"
 
 
 # ---------- Verdicts ----------
@@ -178,213 +89,161 @@ class EvaluationReport:
 
 
 # ---------- Expression evaluation ----------
+#
+# Values are plain Python: bool, int, float, str, datetime.date,
+# ObjectInstance, and tuple for collections. The resolver has proved every
+# operand's type, so no value is checked again here. Python's arithmetic
+# gives the typing rules: Int op Int stays int, / always gives float, and
+# mixed operands promote.
+
+_BINARY = {
+    InfixOperator.LT: operator.lt,
+    InfixOperator.GT: operator.gt,
+    InfixOperator.LE: operator.le,
+    InfixOperator.GE: operator.ge,
+    InfixOperator.ADD: operator.add,
+    InfixOperator.SUB: operator.sub,
+    InfixOperator.MUL: operator.mul,
+}
+
+_UNBOUND = object()
+
 
 def evaluate_expr(
     typed: TypedExpr,
-    env: Environment,
+    scope: dict[str, object],
     objects: ObjectModel,
     model: StructuralModel,
-) -> Value:
-    """Evaluate one resolved expression; raises EvalError subclasses."""
+) -> object:
+    """Evaluate one resolved expression; raises EvalError subclasses.
+
+    scope maps "self" and each iterator variable in force to its value.
+    """
     node = typed.node
 
     if isinstance(node, SelfExp):
-        return VObject(env.self_object)
+        return scope["self"]
     if isinstance(node, VariableExp):
-        return env.lookup(node.name)
-    if isinstance(node, IntegerLiteralExp):
-        return VInt(node.value)
-    if isinstance(node, RealLiteralExp):
-        return VReal(node.value)
-    if isinstance(node, StringLiteralExp):
-        return VStr(node.value)
-    if isinstance(node, BooleanLiteralExp):
-        return VBool(node.value)
+        return scope[node.name]
+    if isinstance(
+        node, (IntegerLiteralExp, RealLiteralExp, StringLiteralExp, BooleanLiteralExp)
+    ):
+        return node.value
 
     if isinstance(node, PropertyExp):
-        source = evaluate_expr(typed.children[0], env, objects, model)
-        assert isinstance(source, VObject)
+        source = evaluate_expr(typed.children[0], scope, objects, model)
         access = typed.access
         if isinstance(access, AttributeAccess):
-            literal = source.obj.slots.get(access.attribute.name)
+            literal = source.slots.get(access.attribute.name)
             if literal is None:
                 raise MissingSlotError(
-                    f"object '{source.obj.name}' has no value for "
+                    f"object '{source.name}' has no value for "
                     f"attribute '{access.attribute.name}'"
                 )
-            return literal_to_value(literal)
-        assert isinstance(access, NavigationAccess)
-        linked = navigate(objects, source.obj, access.end.role, model)
+            return literal.value
+        linked = navigate(objects, source, access.end.role, model)
         if access.end.multiplicity.upper == 1:
             if not linked:
                 raise NavigationEmptyError(
                     f"no object linked via '{access.end.role}' "
-                    f"from '{source.obj.name}'"
+                    f"from '{source.name}'"
                 )
-            return VObject(linked[0])
-        return VCollection(tuple(VObject(obj) for obj in linked))
+            return linked[0]
+        return tuple(linked)
 
     if isinstance(node, OperationCallExp):
-        return _evaluate_operation(node.op, typed, env, objects, model)
+        return _evaluate_operation(node.op, typed, scope, objects, model)
 
     if isinstance(node, UnaryExp):
-        operand = evaluate_expr(typed.children[0], env, objects, model)
-        if node.op is UnaryOperator.NOT:
-            assert isinstance(operand, VBool)
-            return VBool(not operand.value)
-        if isinstance(operand, VInt):
-            return VInt(-operand.value)
-        assert isinstance(operand, VReal)
-        return VReal(-operand.value)
+        operand = evaluate_expr(typed.children[0], scope, objects, model)
+        return not operand if node.op is UnaryOperator.NOT else -operand
 
     if isinstance(node, IfExp):
-        condition = evaluate_expr(typed.children[0], env, objects, model)
-        assert isinstance(condition, VBool)
+        condition, then_branch, else_branch = typed.children
         # Only the taken branch is evaluated.
-        branch = typed.children[1] if condition.value else typed.children[2]
-        return evaluate_expr(branch, env, objects, model)
+        if evaluate_expr(condition, scope, objects, model):
+            return evaluate_expr(then_branch, scope, objects, model)
+        return evaluate_expr(else_branch, scope, objects, model)
 
     if isinstance(node, IteratorExp):
-        return _evaluate_iterator(node, typed, env, objects, model)
+        return _evaluate_iterator(node, typed, scope, objects, model)
 
     if isinstance(node, CollectionOpExp):
-        source = evaluate_expr(typed.children[0], env, objects, model)
-        assert isinstance(source, VCollection)
+        items = evaluate_expr(typed.children[0], scope, objects, model)
         if node.op is CollectionOp.SIZE:
-            return VInt(len(source.items))
+            return len(items)
         if node.op is CollectionOp.IS_EMPTY:
-            return VBool(len(source.items) == 0)
-        return VBool(len(source.items) > 0)
+            return len(items) == 0
+        return len(items) > 0
 
     raise TypeError(f"not an expression node: {node!r}")
-
-
-def _numeric(value: Value) -> int | float:
-    assert isinstance(value, (VInt, VReal))
-    return value.value
-
-
-def _values_equal(left: Value, right: Value) -> bool:
-    if isinstance(left, (VInt, VReal)) and isinstance(right, (VInt, VReal)):
-        return _numeric(left) == _numeric(right)
-    if isinstance(left, VObject) and isinstance(right, VObject):
-        return left.obj.name == right.obj.name
-    assert type(left) is type(right)
-    return left.value == right.value  # type: ignore[attr-defined]
 
 
 def _evaluate_operation(
     op: InfixOperator,
     typed: TypedExpr,
-    env: Environment,
+    scope: dict[str, object],
     objects: ObjectModel,
     model: StructuralModel,
-) -> Value:
+) -> object:
     left_child, right_child = typed.children
+    left = evaluate_expr(left_child, scope, objects, model)
 
     # and/or are short-circuit, left to right.
     if op is InfixOperator.AND:
-        left = evaluate_expr(left_child, env, objects, model)
-        assert isinstance(left, VBool)
-        if not left.value:
-            return VBool(False)
-        return evaluate_expr(right_child, env, objects, model)
+        return left and evaluate_expr(right_child, scope, objects, model)
     if op is InfixOperator.OR:
-        left = evaluate_expr(left_child, env, objects, model)
-        assert isinstance(left, VBool)
-        if left.value:
-            return VBool(True)
-        return evaluate_expr(right_child, env, objects, model)
+        return left or evaluate_expr(right_child, scope, objects, model)
 
-    left = evaluate_expr(left_child, env, objects, model)
-    right = evaluate_expr(right_child, env, objects, model)
-
-    if op is InfixOperator.EQ:
-        return VBool(_values_equal(left, right))
-    if op is InfixOperator.NE:
-        return VBool(not _values_equal(left, right))
-
-    if op in (InfixOperator.LT, InfixOperator.GT, InfixOperator.LE, InfixOperator.GE):
-        if isinstance(left, VDate):
-            assert isinstance(right, VDate)
-            lv, rv = left.value, right.value
-        else:
-            lv, rv = _numeric(left), _numeric(right)
-        if op is InfixOperator.LT:
-            return VBool(lv < rv)
-        if op is InfixOperator.GT:
-            return VBool(lv > rv)
-        if op is InfixOperator.LE:
-            return VBool(lv <= rv)
-        return VBool(lv >= rv)
-
-    lv, rv = _numeric(left), _numeric(right)
+    right = evaluate_expr(right_child, scope, objects, model)
+    if op is InfixOperator.EQ or op is InfixOperator.NE:
+        # Objects are equal when they are the same named object.
+        if left_child.type.kind is TypeKind.OBJECT:
+            left, right = left.name, right.name
+        same = left == right
+        return same if op is InfixOperator.EQ else not same
     if op is InfixOperator.DIV:
-        if rv == 0:
+        if right == 0:
             raise DivisionByZeroError("division by zero")
-        return VReal(lv / rv)
-    if op is InfixOperator.ADD:
-        result = lv + rv
-    elif op is InfixOperator.SUB:
-        result = lv - rv
-    else:
-        result = lv * rv
-    if isinstance(left, VInt) and isinstance(right, VInt):
-        return VInt(result)
-    return VReal(float(result))
+        return left / right
+    return _BINARY[op](left, right)
 
 
 def _evaluate_iterator(
     node: IteratorExp,
     typed: TypedExpr,
-    env: Environment,
+    scope: dict[str, object],
     objects: ObjectModel,
     model: StructuralModel,
-) -> Value:
+) -> object:
     source_child, body_child = typed.children
-    source = evaluate_expr(source_child, env, objects, model)
-    assert isinstance(source, VCollection)
+    items = evaluate_expr(source_child, scope, objects, model)
+    var = node.var_name
+    outer = scope.get(var, _UNBOUND)
 
-    def body_for(item: Value) -> Value:
-        env.push(node.var_name, item)
-        try:
-            return evaluate_expr(body_child, env, objects, model)
-        finally:
-            env.pop()
+    def body(item: object) -> object:
+        scope[var] = item
+        return evaluate_expr(body_child, scope, objects, model)
 
-    kind = node.kind
-    if kind is IteratorKind.FOR_ALL:
-        for item in source.items:
-            result = body_for(item)
-            assert isinstance(result, VBool)
-            if not result.value:
-                return VBool(False)
-        return VBool(True)
-    if kind is IteratorKind.EXISTS:
-        for item in source.items:
-            result = body_for(item)
-            assert isinstance(result, VBool)
-            if result.value:
-                return VBool(True)
-        return VBool(False)
-    if kind in (IteratorKind.SELECT, IteratorKind.REJECT):
-        keep_on = kind is IteratorKind.SELECT
-        kept = []
-        for item in source.items:
-            result = body_for(item)
-            assert isinstance(result, VBool)
-            if result.value == keep_on:
-                kept.append(item)
-        return VCollection(tuple(kept))
-    # collect: body values in order, flattened one level.
-    collected: list[Value] = []
-    for item in source.items:
-        result = body_for(item)
-        if isinstance(result, VCollection):
-            collected.extend(result.items)
+    try:
+        kind = node.kind
+        if kind is IteratorKind.FOR_ALL:
+            return all(body(item) for item in items)
+        if kind is IteratorKind.EXISTS:
+            return any(body(item) for item in items)
+        if kind is IteratorKind.SELECT:
+            return tuple(item for item in items if body(item))
+        if kind is IteratorKind.REJECT:
+            return tuple(item for item in items if not body(item))
+        # collect: body values in order, flattened one level.
+        if body_child.type.kind is TypeKind.COLLECTION:
+            return tuple(value for item in items for value in body(item))
+        return tuple(body(item) for item in items)
+    finally:
+        if outer is _UNBOUND:
+            scope.pop(var, None)
         else:
-            collected.append(result)
-    return VCollection(tuple(collected))
+            scope[var] = outer
 
 
 # ---------- Constraint evaluation ----------
@@ -396,22 +255,20 @@ def evaluate_constraint(
 ) -> ConstraintVerdict:
     """Evaluate the body once per context-class instance and conjoin.
 
-    Zero instances yield True vacuously. The first runtime error turns the
-    verdict into Error, keeping the per-instance results gathered so far.
+    Zero instances yield True vacuously. The first runtime error, or a body
+    nested too deeply to evaluate, turns the verdict into Error, keeping the
+    per-instance results gathered so far.
     """
     if name is None:
         name = typed.ast.constraint_name or typed.ast.context_class_name
     per_instance: list[tuple[str, bool]] = []
     for instance in instances_of(objects, typed.context_class):
-        env = Environment(instance)
         try:
-            value = evaluate_expr(typed.body, env, objects, typed.model)
-        except EvalError as error:
-            return ConstraintVerdict(
-                name, VerdictKind.ERROR, tuple(per_instance), str(error)
-            )
-        assert isinstance(value, VBool)
-        per_instance.append((instance.name, value.value))
+            holds = evaluate_expr(typed.body, {"self": instance}, objects, typed.model)
+        except (EvalError, RecursionError) as error:
+            message = TOO_DEEP_MESSAGE if isinstance(error, RecursionError) else str(error)
+            return ConstraintVerdict(name, VerdictKind.ERROR, tuple(per_instance), message)
+        per_instance.append((instance.name, holds))
     ok = all(holds for _, holds in per_instance)
     return ConstraintVerdict(
         name, VerdictKind.TRUE if ok else VerdictKind.FALSE, tuple(per_instance)
@@ -427,20 +284,16 @@ def evaluate_all(model: StructuralModel, objects: ObjectModel) -> EvaluationRepo
     results = []
     for con in model.constraints:
         try:
-            ast = parse_constraint(con.expression)
-            typed = resolve(ast, model)
-        except (ParseError, ResolutionFailure) as error:
-            verdict = ConstraintVerdict(
-                con.name,
-                VerdictKind.ERROR,
-                error_message=f"Exception Occured! Info: {error}",
-            )
+            typed = resolve(parse_constraint(con.expression), model)
+        except (ParseError, ResolutionFailure, RecursionError) as error:
+            message = TOO_DEEP_MESSAGE if isinstance(error, RecursionError) else str(error)
+            verdict = ConstraintVerdict(con.name, VerdictKind.ERROR, error_message=message)
         else:
             verdict = evaluate_constraint(typed, objects, name=con.name)
-            if verdict.overall is VerdictKind.ERROR:
-                verdict = replace(
-                    verdict,
-                    error_message=f"Exception Occured! Info: {verdict.error_message}",
-                )
+        if verdict.overall is VerdictKind.ERROR:
+            verdict = replace(
+                verdict,
+                error_message=f"Exception Occured! Info: {verdict.error_message}",
+            )
         results.append(ConstraintResult(con.expression, verdict))
     return EvaluationReport(tuple(results))

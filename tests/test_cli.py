@@ -4,7 +4,12 @@ import pytest
 
 from bocl.ast import ast_from_json
 from bocl.cli import main
+from bocl.evaluator import evaluate_constraint
+from bocl.model_io import load_objects, load_structural
 from bocl.parser import parse_constraint
+from bocl.resolver import resolve
+
+from reference_eval import reference_verdict
 
 
 def write(tmp_path, name, doc):
@@ -141,3 +146,85 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["eval", "only-one-arg.json"])
     assert exc.value.code == 2
+
+
+MIXED_COLLECT = (
+    "context Library inv mixed: "
+    "self.contains->collect(b | if b.pages > 0 then 1 else 2.0 endif)->exists(x | x > 1.5)"
+)
+
+
+def test_eval_collect_of_mixed_int_and_real(tmp_path, model_doc, objects_doc, capsys):
+    # The if yields an Int for one book and a Real for the other.
+    model_doc["constraints"] = [
+        {"name": "Mixed", "context": "Library", "expression": MIXED_COLLECT},
+        {"name": "Pages", "context": "Book",
+         "expression": "context Book inv pages: self.pages > 0"},
+    ]
+    objects_doc["objects"].append(
+        {"name": "neg_book", "class": "Book",
+         "slots": {"title": "Minus", "pages": -3, "release": "2021-01-01"}}
+    )
+    objects_doc["links"].append(
+        {"name": "library_neg_link", "association": "lib_book_assoc",
+         "ends": [{"role": "locatedIn", "object": "library_obj"},
+                  {"role": "contains", "object": "neg_book"}]}
+    )
+    model_path = write(tmp_path, "m.json", model_doc)
+    objects_path = write(tmp_path, "o.json", objects_doc)
+    code = main(["eval", model_path, objects_path])
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        f"Invariant:{MIXED_COLLECT}:True",
+        "Invariant:context Book inv pages: self.pages > 0:False",
+    ]
+    assert code == 1
+    assert "Traceback" not in captured.err
+
+    model = load_structural(model_path)
+    objects, _warnings = load_objects(objects_path, model)
+    ast = parse_constraint(MIXED_COLLECT)
+    mine = evaluate_constraint(resolve(ast, model), objects)
+    ref = reference_verdict(ast, model, objects)
+    assert mine.overall.value == ref.overall == "True"
+    assert mine.per_instance == ref.per_instance
+
+
+# Too deep for the recursive parser and resolver, respectively.
+DEEP_CONSTRAINTS = {
+    "parens": "context Book inv deep: " + "(" * 110 + "true" + ")" * 110,
+    "and_chain": "context Book inv deep: " + " and ".join(["true"] * 500),
+}
+
+
+def _with_deep_constraint(model_doc, expression):
+    model_doc["constraints"].insert(
+        1, {"name": "Deep", "context": "Book", "expression": expression}
+    )
+    return model_doc
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP_CONSTRAINTS))
+def test_check_deep_constraint_is_one_diagnostic(tmp_path, model_doc, capsys, kind):
+    path = write(tmp_path, "m.json", _with_deep_constraint(model_doc, DEEP_CONSTRAINTS[kind]))
+    code = main(["check", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.splitlines() == ["BookPageNumber: OK", "LibaryCollect: OK"]
+    assert captured.err == "Deep: expression nests too deeply\n"
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP_CONSTRAINTS))
+def test_eval_deep_constraint_is_one_error(tmp_path, model_doc, objects_path, capsys, kind):
+    expression = DEEP_CONSTRAINTS[kind]
+    path = write(tmp_path, "m.json", _with_deep_constraint(model_doc, expression))
+    code = main(["eval", path, str(objects_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.splitlines() == [
+        "Invariant:context Book inv pageNumberInv: self.pages>0:True",
+        f"Invariant:{expression}:Error(Exception Occured! Info: expression nests too deeply)",
+        "Invariant:context Library inv atLeastOneSmallBook: "
+        "self.contains->select(i_book : Book | i_book.pages <= 110)->size()>0:True",
+    ]
+    assert "Traceback" not in captured.err

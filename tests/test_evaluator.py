@@ -4,6 +4,7 @@ import random
 import pytest
 
 from bocl.ast import (
+    BooleanLiteralExp,
     CollectionOp,
     CollectionOpExp,
     ConstraintAst,
@@ -18,12 +19,8 @@ from bocl.ast import (
     UnaryOperator,
 )
 from bocl.evaluator import (
+    TOO_DEEP_MESSAGE,
     DivisionByZeroError,
-    Environment,
-    VBool,
-    VCollection,
-    VInt,
-    VReal,
     VerdictKind,
     evaluate_all,
     evaluate_constraint,
@@ -39,7 +36,7 @@ from bocl.model import (
 )
 from bocl.model_io import report_to_document
 from bocl.parser import parse_constraint
-from bocl.resolver import resolve
+from bocl.resolver import BOOL_T, TypedConstraint, TypedExpr, resolve
 
 from conftest import build_library_objects
 from generators import (
@@ -62,7 +59,7 @@ def eval_body(model, objects, text):
     instance = next(
         o for o in objects.objects if o.classifier.name == typed.context_class.name
     )
-    return evaluate_expr(typed.body, Environment(instance), objects, model)
+    return evaluate_expr(typed.body, {"self": instance}, objects, model)
 
 
 # -- shipped library corpus --
@@ -114,15 +111,16 @@ def test_collect_pages(built_model, built_objects):
         built_objects,
         "context Library inv x: self.contains->collect(b | b.pages)->size() = 1",
     )
-    assert value == VBool(True)
+    assert value is True
     typed = resolve(
         parse_constraint("context Library inv x: self.contains->collect(b | b.pages)->size() = 1"),
         built_model,
     )
     library_obj = built_objects.object_named("library_obj")
     collect = typed.body.children[0].children[0]
-    collected = evaluate_expr(collect, Environment(library_obj), built_objects, built_model)
-    assert collected == VCollection((VInt(20),))
+    collected = evaluate_expr(collect, {"self": library_obj}, built_objects, built_model)
+    assert collected == (20,)
+    assert type(collected[0]) is int
 
 
 def test_select_then_size_chain(built_model, built_objects):
@@ -132,7 +130,7 @@ def test_select_then_size_chain(built_model, built_objects):
         "context Library inv x: "
         "self.contains->select(b : Book | b.pages <= 110)->size() > 0",
     )
-    assert value == VBool(True)
+    assert value is True
 
 
 def test_for_all_over_empty_navigation(built_model):
@@ -172,10 +170,10 @@ def test_untaken_branch_not_evaluated(built_model, built_objects):
 def test_and_or_short_circuit(built_model, built_objects):
     assert eval_body(
         built_model, built_objects, "context Book inv v: false and 1/0 = 1"
-    ) == VBool(False)
+    ) is False
     assert eval_body(
         built_model, built_objects, "context Book inv v: true or 1/0 = 1"
-    ) == VBool(True)
+    ) is True
     with pytest.raises(DivisionByZeroError):
         eval_body(built_model, built_objects, "context Book inv v: true and 1/0 = 1")
 
@@ -221,26 +219,29 @@ def test_error_keeps_partial_per_instance(built_model):
 def test_date_comparison(built_model, built_objects):
     assert eval_body(
         built_model, built_objects, "context Book inv v: self.release < self.release"
-    ) == VBool(False)
+    ) is False
     assert eval_body(
         built_model, built_objects, "context Book inv v: self.release = self.release"
-    ) == VBool(True)
+    ) is True
 
 
 def test_int_division_is_real(built_model, built_objects):
-    assert eval_body(built_model, built_objects, "context Book inv v: 6 / 3 = 2.0") == VBool(True)
+    assert eval_body(built_model, built_objects, "context Book inv v: 6 / 3 = 2.0") is True
     typed = resolve(parse_constraint("context Book inv v: 6 / 3 = 2.0"), built_model)
     division = typed.body.children[0]
     book_obj = built_objects.object_named("book_obj")
-    value = evaluate_expr(division, Environment(book_obj), built_objects, built_model)
-    assert value == VReal(2.0)
+    value = evaluate_expr(division, {"self": book_obj}, built_objects, built_model)
+    assert type(value) is float
+    assert value == 2.0
 
 
 def test_int_arithmetic_stays_int(built_model, built_objects):
     typed = resolve(parse_constraint("context Book inv v: 2 + 3 = 5"), built_model)
     add = typed.body.children[0]
     book_obj = built_objects.object_named("book_obj")
-    assert evaluate_expr(add, Environment(book_obj), built_objects, built_model) == VInt(5)
+    value = evaluate_expr(add, {"self": book_obj}, built_objects, built_model)
+    assert type(value) is int
+    assert value == 5
 
 
 def test_object_identity_comparison(built_model, built_objects):
@@ -248,18 +249,39 @@ def test_object_identity_comparison(built_model, built_objects):
         built_model,
         built_objects,
         "context Book inv v: self.locatedIn = self.locatedIn",
-    ) == VBool(True)
+    ) is True
 
 
-def test_collection_construction_requires_one_kind():
-    with pytest.raises(ValueError, match="one kind"):
-        VCollection((VInt(1), VReal(2.0)))
+def test_iterator_restores_scope(built_model, built_objects):
+    # The inner forAll over an empty collection shadows b; the outer b
+    # must be bound again for b.pages afterwards.
+    text = (
+        "context Library inv v: self.contains->forAll(b | "
+        "self.contains->select(x | false)->forAll(b | false) and b.pages = 20)"
+    )
+    typed = resolve(parse_constraint(text), built_model)
+    library_obj = built_objects.object_named("library_obj")
+    scope = {"self": library_obj}
+    assert evaluate_expr(typed.body, scope, built_objects, built_model) is True
+    assert scope == {"self": library_obj}
+    empty = "context Library inv v: self.contains->select(x | false)->exists(b | true)"
+    typed = resolve(parse_constraint(empty), built_model)
+    assert evaluate_expr(typed.body, scope, built_objects, built_model) is False
+    assert scope == {"self": library_obj}
 
 
-def test_environment_protects_self(built_objects):
-    env = Environment(built_objects.object_named("book_obj"))
-    with pytest.raises(ValueError):
-        env.push("self", VInt(1))
+def test_too_deep_evaluation_is_error(built_model, built_objects):
+    # Built by hand: no parser or resolver would accept a tree this deep.
+    body = TypedExpr(BooleanLiteralExp(True), BOOL_T)
+    for _ in range(5000):
+        body = TypedExpr(UnaryExp(UnaryOperator.NOT, BooleanLiteralExp(True)), BOOL_T, (body,))
+    ast = parse_constraint("context Book inv deep: true")
+    typed = TypedConstraint(ast, built_model.class_named("Book"), body, built_model)
+    verdict = evaluate_constraint(typed, built_objects)
+    assert verdict.overall is VerdictKind.ERROR
+    assert verdict.error_message == TOO_DEEP_MESSAGE
+    fine = run(built_model, built_objects, "context Book inv v: self.pages > 0")
+    assert fine.overall is VerdictKind.TRUE
 
 
 # -- whole-model evaluation --
