@@ -134,7 +134,8 @@ class ConstraintAst:
 
 # Binding strength, loosest to tightest. Postfix chains (property access,
 # -> operations) sit above unary; literals, self, variables and the
-# self-delimiting if/endif form never need parentheses.
+# self-delimiting if/endif form never need parentheses. The parser climbs
+# BINARY_PREC too, so printing and parsing agree on every binary level.
 _PREC_OR = 1
 _PREC_AND = 2
 _PREC_CMP = 3
@@ -144,7 +145,7 @@ _PREC_UNARY = 6
 _PREC_POSTFIX = 7
 _PREC_PRIMARY = 8
 
-_BINARY_PREC = {
+BINARY_PREC = {
     InfixOperator.OR: _PREC_OR,
     InfixOperator.AND: _PREC_AND,
     InfixOperator.EQ: _PREC_CMP,
@@ -160,7 +161,7 @@ _BINARY_PREC = {
 }
 
 COMPARISON_OPERATORS = frozenset(
-    op for op, prec in _BINARY_PREC.items() if prec == _PREC_CMP
+    op for op, prec in BINARY_PREC.items() if prec == _PREC_CMP
 )
 
 
@@ -181,7 +182,7 @@ def format_string(value: str) -> str:
 
 def _prec(expr: Expr) -> int:
     if isinstance(expr, OperationCallExp):
-        return _BINARY_PREC[expr.op]
+        return BINARY_PREC[expr.op]
     if isinstance(expr, UnaryExp):
         return _PREC_UNARY
     if isinstance(expr, (PropertyExp, IteratorExp, CollectionOpExp)):
@@ -225,7 +226,7 @@ def _print_bare(expr: Expr) -> str:
         # Parenthesize nested unary operands so "--" never lexes as a comment.
         return f"-{_print(expr.operand, _PREC_POSTFIX)}"
     if isinstance(expr, OperationCallExp):
-        prec = _BINARY_PREC[expr.op]
+        prec = BINARY_PREC[expr.op]
         # Left-associative except comparisons, which are non-associative:
         # both comparison operands must bind strictly tighter.
         left_min = prec + 1 if prec == _PREC_CMP else prec

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -102,9 +103,19 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     args = parser.parse_args(argv)
-    if args.command == "check":
-        return cmd_check(args.model, args.emit_ast)
-    return cmd_eval(args.model, args.objects, ReportFormat(args.format))
+    try:
+        if args.command == "check":
+            code = cmd_check(args.model, args.emit_ast)
+        else:
+            code = cmd_eval(args.model, args.objects, ReportFormat(args.format))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early. Point stdout at devnull so that
+        # the interpreter's flush at exit fails silently too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -255,9 +255,10 @@ def evaluate_constraint(
 ) -> ConstraintVerdict:
     """Evaluate the body once per context-class instance and conjoin.
 
-    Zero instances yield True vacuously. The first runtime error, or a body
-    nested too deeply to evaluate, turns the verdict into Error, keeping the
-    per-instance results gathered so far.
+    Zero instances yield True vacuously. The first runtime error, an
+    Integer too large to convert to Real, or a body nested too deeply to
+    evaluate turns the verdict into Error, keeping the per-instance results
+    gathered so far.
     """
     if name is None:
         name = typed.ast.constraint_name or typed.ast.context_class_name
@@ -265,7 +266,7 @@ def evaluate_constraint(
     for instance in instances_of(objects, typed.context_class):
         try:
             holds = evaluate_expr(typed.body, {"self": instance}, objects, typed.model)
-        except (EvalError, RecursionError) as error:
+        except (EvalError, OverflowError, RecursionError) as error:
             message = TOO_DEEP_MESSAGE if isinstance(error, RecursionError) else str(error)
             return ConstraintVerdict(name, VerdictKind.ERROR, tuple(per_instance), message)
         per_instance.append((instance.name, holds))

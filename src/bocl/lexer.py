@@ -1,7 +1,8 @@
-"""Hand-rolled tokenizer for constraint text."""
+"""Regular-expression tokenizer for constraint text."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,13 +26,26 @@ KEYWORDS = frozenset(
     }
 )
 
-# Longest match first: two-character symbols before their prefixes.
-_TWO_CHAR_SYMBOLS = ("::", "<>", "<=", ">=", "->")
-_ONE_CHAR_SYMBOLS = ":()|.=<>+-*/,"
+# One alternative per token shape, tried in order. Identifiers and digits
+# are ASCII only (\w and \d would admit other scripts). Two-character
+# symbols come before their one-character prefixes. A string ends at a
+# quote that is not followed by another quote (doubled quotes are an
+# escaped quote); an unterminated string leaves its opening quote to the
+# catch-all 'bad' group.
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<space>[ \t\r\n]+|--[^\n]*)
+    | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<real>[0-9]+\.[0-9]+)
+    | (?P<int>[0-9]+)
+    | (?P<symbol>::|<>|<=|>=|->|[:()|.=<>+\-*/,])
+    | (?P<string>'(?:[^']|'')*'(?!'))
+    | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
-_DIGITS = "0123456789"
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | frozenset(_DIGITS)
+_GROUP_KINDS = {"real": TokenKind.REAL, "int": TokenKind.INT, "symbol": TokenKind.SYMBOL}
 
 
 @dataclass(frozen=True)
@@ -63,90 +77,34 @@ def tokenize(source: str) -> list[Token]:
 
     Whitespace and -- line comments are skipped. Keywords are matched
     case-insensitively and normalized to lowercase; string tokens carry
-    the decoded content ('' inside a literal is a single quote).
+    the decoded content ('' inside a literal is a single quote). Columns
+    count characters from the last newline, starting at 1.
     """
     tokens: list[Token] = []
-    i = 0
     line = 1
-    col = 1
-    n = len(source)
-
-    def advance() -> str:
-        nonlocal i, line, col
-        ch = source[i]
-        i += 1
-        if ch == "\n":
-            line += 1
-            col = 1
-        else:
-            col += 1
-        return ch
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance()
-            continue
-        if ch == "-" and source.startswith("--", i):
-            while i < n and source[i] != "\n":
-                advance()
-            continue
-
-        start_line, start_col = line, col
-
-        if ch == "'":
-            advance()
-            parts: list[str] = []
-            while True:
-                if i >= n:
-                    raise ParseError("unterminated string literal", start_line, start_col)
-                ch = advance()
-                if ch == "'":
-                    if i < n and source[i] == "'":
-                        advance()
-                        parts.append("'")
-                        continue
-                    break
-                parts.append(ch)
-            tokens.append(Token(TokenKind.STRING, "".join(parts), start_line, start_col))
-            continue
-
-        if ch in _DIGITS:
-            start = i
-            while i < n and source[i] in _DIGITS:
-                advance()
-            kind = TokenKind.INT
-            if i + 1 < n and source[i] == "." and source[i + 1] in _DIGITS:
-                advance()
-                while i < n and source[i] in _DIGITS:
-                    advance()
-                kind = TokenKind.REAL
-            tokens.append(Token(kind, source[start:i], start_line, start_col))
-            continue
-
-        if ch in _IDENT_START:
-            start = i
-            while i < n and source[i] in _IDENT_CONT:
-                advance()
-            word = source[start:i]
-            if word.lower() in KEYWORDS:
-                tokens.append(Token(TokenKind.KEYWORD, word.lower(), start_line, start_col))
+    line_start = 0
+    for match in _TOKEN_RE.finditer(source):
+        group = match.lastgroup
+        text = match.group()
+        if group != "space":
+            col = match.start() - line_start + 1
+            if group == "word":
+                word = text.lower()
+                if word in KEYWORDS:
+                    tokens.append(Token(TokenKind.KEYWORD, word, line, col))
+                else:
+                    tokens.append(Token(TokenKind.IDENT, text, line, col))
+            elif group == "string":
+                tokens.append(Token(TokenKind.STRING, text[1:-1].replace("''", "'"), line, col))
+            elif group == "bad":
+                if text == "'":
+                    raise ParseError("unterminated string literal", line, col)
+                raise ParseError(f"illegal character {text!r}", line, col)
             else:
-                tokens.append(Token(TokenKind.IDENT, word, start_line, start_col))
-            continue
-
-        two = source[i : i + 2]
-        if two in _TWO_CHAR_SYMBOLS:
-            advance()
-            advance()
-            tokens.append(Token(TokenKind.SYMBOL, two, start_line, start_col))
-            continue
-        if ch in _ONE_CHAR_SYMBOLS:
-            advance()
-            tokens.append(Token(TokenKind.SYMBOL, ch, start_line, start_col))
-            continue
-
-        raise ParseError(f"illegal character {ch!r}", start_line, start_col)
-
-    tokens.append(Token(TokenKind.EOF, "", line, col))
+                tokens.append(Token(_GROUP_KINDS[group], text, line, col))
+        # Only whitespace and string literals can span lines.
+        if "\n" in text:
+            line += text.count("\n")
+            line_start = match.start() + text.rindex("\n") + 1
+    tokens.append(Token(TokenKind.EOF, "", line, len(source) - line_start + 1))
     return tokens

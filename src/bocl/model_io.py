@@ -182,8 +182,9 @@ def structural_from_document(doc: dict) -> StructuralModel:
             attrs.append(Attribute(_str_field(araw, "name", awhere), ptype))
         classes.append(ClassDef(_str_field(raw, "name", where), tuple(attrs)))
 
+    # An unknown class name gets a placeholder ClassDef; validate_structural
+    # reports it as "not a model class".
     by_name = {cls.name: cls for cls in classes}
-    diagnostics: list[ModelDiagnostic] = []
 
     associations = []
     for i, raw in enumerate(_list_field(doc, "associations", "model document")):
@@ -197,18 +198,10 @@ def structural_from_document(doc: dict) -> StructuralModel:
             ewhere = f"{where}.ends[{j}]"
             _check_keys(eraw, {"role", "target", "multiplicity"}, set(), ewhere)
             target_name = _str_field(eraw, "target", ewhere)
-            target = by_name.get(target_name)
-            if target is None:
-                diagnostics.append(
-                    ModelDiagnostic(
-                        Severity.ERROR, ewhere, f"unknown class {target_name!r}"
-                    )
-                )
-                target = ClassDef(target_name)
             ends.append(
                 AssociationEnd(
                     _str_field(eraw, "role", ewhere),
-                    target,
+                    by_name.get(target_name) or ClassDef(target_name),
                     _multiplicity_from_json(eraw["multiplicity"], f"{ewhere}.multiplicity"),
                 )
             )
@@ -221,14 +214,7 @@ def structural_from_document(doc: dict) -> StructuralModel:
         where = f"constraints[{i}]"
         _check_keys(raw, {"name", "context", "expression"}, {"language"}, where)
         context_name = _str_field(raw, "context", where)
-        context = by_name.get(context_name)
-        if context is None:
-            diagnostics.append(
-                ModelDiagnostic(
-                    Severity.ERROR, where, f"unknown context class {context_name!r}"
-                )
-            )
-            context = ClassDef(context_name)
+        context = by_name.get(context_name) or ClassDef(context_name)
         language = raw.get("language", "OCL")
         if not isinstance(language, str):
             raise _malformed(f"{where}.language must be a string")
@@ -241,12 +227,6 @@ def structural_from_document(doc: dict) -> StructuralModel:
             )
         )
 
-    if diagnostics:
-        raise IoError(
-            IoErrorKind.VALIDATION,
-            "; ".join(str(d) for d in diagnostics),
-            tuple(diagnostics),
-        )
     return StructuralModel(name, tuple(classes), tuple(associations), tuple(constraints))
 
 

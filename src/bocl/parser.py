@@ -1,15 +1,21 @@
 """Recursive-descent parser for invariant constraints.
 
 Precedence, loosest to tightest: or < and < comparison < additive <
-multiplicative < unary < postfix. Comparisons are non-associative, the
-other binary levels associate left. Postfix covers '.' property access
-and '->' collection operations; if/then/else/endif is self-delimiting
-and parses as a primary.
+multiplicative < unary < postfix. The binary levels come from
+ast.BINARY_PREC, the table the printer uses, and are parsed by
+precedence climbing. Comparisons are non-associative, the other binary
+levels associate left. Postfix covers '.' property access and '->'
+collection operations; if/then/else/endif is self-delimiting and parses
+as a primary.
 """
 
 from __future__ import annotations
 
+import math
+
 from .ast import (
+    BINARY_PREC,
+    COMPARISON_OPERATORS,
     BooleanLiteralExp,
     CollectionOp,
     CollectionOpExp,
@@ -33,14 +39,7 @@ from .ast import (
 from .lexer import ParseError, Token, TokenKind, tokenize
 from .model import INT64_MAX
 
-_COMPARISON_OPS = {
-    "=": InfixOperator.EQ,
-    "<>": InfixOperator.NE,
-    "<": InfixOperator.LT,
-    ">": InfixOperator.GT,
-    "<=": InfixOperator.LE,
-    ">=": InfixOperator.GE,
-}
+_INFIX_OPERATORS = {op.value: op for op in InfixOperator}
 
 _ITERATOR_KINDS = {kind.value: kind for kind in IteratorKind}
 _COLLECTION_OPS = {op.value: op for op in CollectionOp}
@@ -57,19 +56,17 @@ class _TokenStream:
     def peek(self) -> Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
+    def take(self) -> Token:
+        """Return the next token and move past it; EOF is never passed."""
         token = self.tokens[self.pos]
         if token.kind is not TokenKind.EOF:
             self.pos += 1
         return token
 
-    def check(self, kind: TokenKind, text: str | None = None) -> bool:
-        token = self.peek()
-        return token.kind is kind and (text is None or token.text == text)
-
     def match(self, kind: TokenKind, text: str | None = None) -> Token | None:
-        if self.check(kind, text):
-            return self.advance()
+        token = self.peek()
+        if token.kind is kind and (text is None or token.text == text):
+            return self.take()
         return None
 
     def expect(self, kind: TokenKind, text: str | None, description: str) -> Token:
@@ -121,64 +118,29 @@ def parse_expression(source: str) -> Expr:
     return expr
 
 
-def _parse_expr(s: _TokenStream) -> Expr:
-    return _parse_or(s)
+def _infix_operator(token: Token) -> InfixOperator | None:
+    if token.kind is TokenKind.SYMBOL or token.kind is TokenKind.KEYWORD:
+        return _INFIX_OPERATORS.get(token.text)
+    return None
 
 
-def _parse_or(s: _TokenStream) -> Expr:
-    left = _parse_and(s)
-    while s.match(TokenKind.KEYWORD, "or"):
-        left = OperationCallExp(InfixOperator.OR, left, _parse_and(s))
-    return left
-
-
-def _parse_and(s: _TokenStream) -> Expr:
-    left = _parse_comparison(s)
-    while s.match(TokenKind.KEYWORD, "and"):
-        left = OperationCallExp(InfixOperator.AND, left, _parse_comparison(s))
-    return left
-
-
-def _parse_comparison(s: _TokenStream) -> Expr:
-    left = _parse_additive(s)
-    token = s.peek()
-    if token.kind is TokenKind.SYMBOL and token.text in _COMPARISON_OPS:
-        s.advance()
-        right = _parse_additive(s)
-        result = OperationCallExp(_COMPARISON_OPS[token.text], left, right)
-        follow = s.peek()
-        if follow.kind is TokenKind.SYMBOL and follow.text in _COMPARISON_OPS:
-            raise ParseError(
-                "comparison operators are non-associative; use parentheses",
-                follow.line,
-                follow.col,
-            )
-        return result
-    return left
-
-
-def _parse_additive(s: _TokenStream) -> Expr:
-    left = _parse_multiplicative(s)
-    while True:
-        if s.match(TokenKind.SYMBOL, "+"):
-            op = InfixOperator.ADD
-        elif s.match(TokenKind.SYMBOL, "-"):
-            op = InfixOperator.SUB
-        else:
-            return left
-        left = OperationCallExp(op, left, _parse_multiplicative(s))
-
-
-def _parse_multiplicative(s: _TokenStream) -> Expr:
+def _parse_expr(s: _TokenStream, min_prec: int = 1) -> Expr:
+    """Precedence climbing over the printer's BINARY_PREC table."""
     left = _parse_unary(s)
     while True:
-        if s.match(TokenKind.SYMBOL, "*"):
-            op = InfixOperator.MUL
-        elif s.match(TokenKind.SYMBOL, "/"):
-            op = InfixOperator.DIV
-        else:
+        op = _infix_operator(s.peek())
+        if op is None or BINARY_PREC[op] < min_prec:
             return left
-        left = OperationCallExp(op, left, _parse_unary(s))
+        s.take()
+        left = OperationCallExp(op, left, _parse_expr(s, BINARY_PREC[op] + 1))
+        if op in COMPARISON_OPERATORS:
+            follow = s.peek()
+            if _infix_operator(follow) in COMPARISON_OPERATORS:
+                raise ParseError(
+                    "comparison operators are non-associative; use parentheses",
+                    follow.line,
+                    follow.col,
+                )
 
 
 def _parse_unary(s: _TokenStream) -> Expr:
@@ -228,16 +190,13 @@ def _parse_collection_call(s: _TokenStream, source: Expr) -> Expr:
 
 
 def _parse_primary(s: _TokenStream) -> Expr:
-    token = s.peek()
+    token = s.take()
     if token.kind is TokenKind.KEYWORD:
         if token.text == "self":
-            s.advance()
             return SelfExp()
         if token.text in ("true", "false"):
-            s.advance()
             return BooleanLiteralExp(token.text == "true")
         if token.text == "if":
-            s.advance()
             condition = _parse_expr(s)
             s.expect(TokenKind.KEYWORD, "then", "'then'")
             then_branch = _parse_expr(s)
@@ -246,24 +205,23 @@ def _parse_primary(s: _TokenStream) -> Expr:
             s.expect(TokenKind.KEYWORD, "endif", "'endif'")
             return IfExp(condition, then_branch, else_branch)
     elif token.kind is TokenKind.INT:
-        s.advance()
-        value = int(token.text)
-        if value > INT64_MAX:
+        # Compare lengths first: int() refuses text of over 4300 digits.
+        digits = token.text.lstrip("0") or "0"
+        if len(digits) > len(str(INT64_MAX)) or int(digits) > INT64_MAX:
             raise ParseError(
                 "integer literal out of 64-bit range", token.line, token.col
             )
-        return IntegerLiteralExp(value)
+        return IntegerLiteralExp(int(digits))
     elif token.kind is TokenKind.REAL:
-        s.advance()
-        return RealLiteralExp(float(token.text))
+        value = float(token.text)
+        if value == math.inf:
+            raise ParseError("real literal out of range", token.line, token.col)
+        return RealLiteralExp(value)
     elif token.kind is TokenKind.STRING:
-        s.advance()
         return StringLiteralExp(token.text)
     elif token.kind is TokenKind.IDENT:
-        s.advance()
         return VariableExp(token.text)
     elif token.kind is TokenKind.SYMBOL and token.text == "(":
-        s.advance()
         expr = _parse_expr(s)
         s.expect(TokenKind.SYMBOL, ")", "')'")
         return expr

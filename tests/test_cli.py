@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import bocl
 
 from bocl.ast import ast_from_json
 from bocl.cli import main
@@ -35,6 +41,18 @@ def test_check_reports_syntax_error(tmp_path, model_doc, capsys):
     assert "1:31" in captured.err  # positioned at the missing operand
     # The healthy constraint still reports OK.
     assert "LibaryCollect: OK" in captured.out
+
+
+def test_check_rejects_real_literal_out_of_range(tmp_path, model_doc, capsys):
+    model_doc["constraints"][0]["expression"] = (
+        "context Book inv big: self.pages < 1" + "0" * 400 + ".0"
+    )
+    path = write(tmp_path, "m.json", model_doc)
+    code = main(["check", path, "--emit-ast", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "BookPageNumber: syntax error: 1:36: real literal out of range\n"
+    assert not (tmp_path / "out" / "BookPageNumber.json").exists()
 
 
 def test_check_reports_resolution_error(tmp_path, model_doc, capsys):
@@ -100,6 +118,44 @@ def test_eval_error_exit_code(tmp_path, model_doc, objects_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "Error(Exception Occured! Info: division by zero)" in captured.out
+
+
+def test_eval_int_overflow_is_one_error(tmp_path, model_doc, objects_path, capsys):
+    expression = (
+        "context Book inv big: " + " * ".join(["9223372036854775807"] * 18) + " + 0.5 > 0"
+    )
+    model_doc["constraints"][0]["expression"] = expression
+    path = write(tmp_path, "m.json", model_doc)
+    code = main(["eval", path, str(objects_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.splitlines() == [
+        f"Invariant:{expression}:"
+        "Error(Exception Occured! Info: int too large to convert to float)",
+        "Invariant:context Library inv atLeastOneSmallBook: "
+        "self.contains->select(i_book : Book | i_book.pages <= 110)->size()>0:True",
+    ]
+
+
+def test_eval_closed_stdout_exits_quietly(tmp_path, model_doc, objects_path):
+    # A report far larger than a pipe buffer, so the write fails mid-report.
+    model_doc["constraints"] = [
+        dict(con, name=f"{con['name']}{k}")
+        for k in range(2000)
+        for con in model_doc["constraints"]
+    ]
+    path = write(tmp_path, "m.json", model_doc)
+    src = str(Path(bocl.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bocl", "eval", path, str(objects_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(16) == b"Invariant:contex"
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert stderr == b""
 
 
 def test_eval_json_format(model_path, objects_path, capsys):
@@ -192,9 +248,19 @@ def test_eval_collect_of_mixed_int_and_real(tmp_path, model_doc, objects_doc, ca
 
 # Too deep for the recursive parser and resolver, respectively.
 DEEP_CONSTRAINTS = {
-    "parens": "context Book inv deep: " + "(" * 110 + "true" + ")" * 110,
+    "parens": "context Book inv deep: " + "(" * 1000 + "true" + ")" * 1000,
     "and_chain": "context Book inv deep: " + " and ".join(["true"] * 500),
 }
+
+
+def test_eval_150_nested_parentheses(tmp_path, model_doc, objects_path, capsys):
+    expression = "context Book inv nested: " + "(" * 150 + "true" + ")" * 150
+    model_doc["constraints"][0]["expression"] = expression
+    path = write(tmp_path, "m.json", model_doc)
+    code = main(["eval", path, str(objects_path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.splitlines()[0] == f"Invariant:{expression}:True"
 
 
 def _with_deep_constraint(model_doc, expression):

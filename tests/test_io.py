@@ -106,10 +106,12 @@ def test_association_needs_two_ends(model_doc):
         structural_from_document(model_doc)
 
 
-def test_unknown_end_target_is_validation_error(model_doc):
+def test_unknown_end_target_is_validation_error(tmp_path, model_doc):
     model_doc["associations"][0]["ends"][0]["target"] = "Shelf"
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(model_doc))
     with pytest.raises(IoError) as exc:
-        structural_from_document(model_doc)
+        load_structural(path)
     assert exc.value.kind is IoErrorKind.VALIDATION
     assert any("Shelf" in d.message for d in exc.value.diagnostics)
 

@@ -127,3 +127,61 @@ def test_tokenize_total_on_arbitrary_bytes(raw):
         tokenize(raw.decode("latin-1"))
     except ParseError:
         pass
+
+
+@pytest.mark.parametrize("source", ["'''", "'ab''", "x 'it''"])
+def test_unterminated_after_doubled_quotes(source):
+    with pytest.raises(ParseError, match="unterminated string literal") as exc:
+        tokenize(source)
+    assert (exc.value.line, exc.value.col) == (1, source.index("'") + 1)
+
+
+@pytest.mark.parametrize("source", ["٣", "é", "aé"])
+def test_non_ascii_letters_and_digits_are_illegal(source):
+    with pytest.raises(ParseError, match="illegal character") as exc:
+        tokenize(source)
+    assert (exc.value.line, exc.value.col) == (1, len(source))
+
+
+@pytest.mark.parametrize(
+    "source,index,position",
+    [
+        ("x\r y", 1, (1, 4)),  # \r and \t count one column each
+        ("x\t\ty", 1, (1, 4)),
+        ("'a\nb' x", 1, (2, 4)),  # a newline inside a string moves the line
+        ("a -- c", 1, (1, 7)),  # EOF after a comment
+        ("a\n", 1, (2, 1)),
+    ],
+)
+def test_token_positions(source, index, position):
+    token = tokenize(source)[index]
+    assert (token.line, token.col) == position
+
+
+def _offset(source, line, col):
+    line_starts = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
+    return line_starts[line - 1] + col - 1
+
+
+_PIECES = list("aZ_9 \t\r\n'.-<>=:()|+*/,!é") + ["--", "''", "->", "and", "IF", "1.5", "x1"]
+
+
+@given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_positions_point_at_source_text(source):
+    try:
+        tokens = tokenize(source)
+    except ParseError as error:
+        at = source[_offset(source, error.line, error.col)]
+        assert at == "'" if "unterminated" in error.message else repr(at) in error.message
+        return
+    for token in tokens[:-1]:
+        at = source[_offset(source, token.line, token.col):]
+        if token.kind is TokenKind.STRING:
+            assert at.startswith("'" + token.text.replace("'", "''") + "'")
+        elif token.kind is TokenKind.KEYWORD:
+            assert at.lower().startswith(token.text)
+        else:
+            assert at.startswith(token.text)
+    eof = tokens[-1]
+    assert _offset(source, eof.line, eof.col) == len(source)

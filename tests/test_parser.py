@@ -203,6 +203,20 @@ def test_integer_literal_out_of_range():
         parse_expression("9223372036854775808")
 
 
+def test_integer_literal_of_many_digits():
+    # Longer than int() accepts from text; leading zeros still count as value 0.
+    assert parse_expression("0" * 5000 + "7") == IntegerLiteralExp(7)
+    with pytest.raises(ParseError, match="64-bit"):
+        parse_expression("9" * 5000)
+
+
+def test_real_literal_out_of_range():
+    parse_expression("1" + "0" * 308 + ".0")  # 1e308 is finite
+    with pytest.raises(ParseError, match="real literal out of range") as exc:
+        parse_expression("self.pages < 1" + "0" * 400 + ".0")
+    assert (exc.value.line, exc.value.col) == (1, 14)
+
+
 def test_missing_context_keyword():
     with pytest.raises(ParseError) as exc:
         parse_constraint("Book inv x: true")
