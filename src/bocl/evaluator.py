@@ -134,13 +134,13 @@ def evaluate_expr(
         source = evaluate_expr(typed.children[0], scope, objects, model)
         access = typed.access
         if isinstance(access, AttributeAccess):
-            literal = source.slots.get(access.attribute.name)
-            if literal is None:
+            value = source.slots.get(access.attribute.name)
+            if value is None:
                 raise MissingSlotError(
                     f"object '{source.name}' has no value for "
                     f"attribute '{access.attribute.name}'"
                 )
-            return literal.value
+            return value
         linked = navigate(objects, source, access.end.role, model)
         if access.end.multiplicity.upper == 1:
             if not linked:

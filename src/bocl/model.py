@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -25,6 +26,17 @@ class PrimitiveType(Enum):
     STR = "str"
     BOOL = "bool"
     DATE = "date"
+
+
+# The Python type of a slot value, matched exactly: True is not an int, a
+# datetime is not a date, and 2 is not a real.
+SLOT_TYPES: dict[PrimitiveType, type] = {
+    PrimitiveType.INT: int,
+    PrimitiveType.REAL: float,
+    PrimitiveType.STR: str,
+    PrimitiveType.BOOL: bool,
+    PrimitiveType.DATE: datetime.date,
+}
 
 
 @dataclass(frozen=True)
@@ -138,35 +150,10 @@ class StructuralModel:
 # ---------- Object model ----------
 
 @dataclass(frozen=True)
-class LiteralValue:
-    """A typed scalar stored in an object slot."""
-
-    kind: PrimitiveType
-    value: int | float | str | bool | datetime.date
-
-    def __post_init__(self) -> None:
-        v = self.value
-        if self.kind is PrimitiveType.BOOL:
-            ok = isinstance(v, bool)
-        elif self.kind is PrimitiveType.INT:
-            ok = isinstance(v, int) and not isinstance(v, bool)
-            if ok and not (INT64_MIN <= v <= INT64_MAX):
-                raise ValueError(f"integer literal out of 64-bit range: {v}")
-        elif self.kind is PrimitiveType.REAL:
-            ok = isinstance(v, float)
-        elif self.kind is PrimitiveType.STR:
-            ok = isinstance(v, str)
-        else:
-            ok = isinstance(v, datetime.date) and not isinstance(v, datetime.datetime)
-        if not ok:
-            raise ValueError(f"payload {v!r} does not match kind {self.kind.value}")
-
-
-@dataclass(frozen=True)
 class ObjectInstance:
     name: str
     classifier: ClassDef
-    slots: dict[str, LiteralValue] = field(default_factory=dict)
+    slots: dict[str, int | float | str | bool | datetime.date] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -363,8 +350,9 @@ def validate_conformance(
 ) -> list[ModelDiagnostic]:
     """Check that an object model instantiates the structural model.
 
-    Structural mismatches (unknown class, bad slot, bad link ends) are
-    errors; multiplicity-count violations are warnings only.
+    Structural mismatches (unknown class, a slot of the wrong type or out
+    of range, bad link ends) are errors; multiplicity-count violations are
+    warnings only. This is the one place that checks slot values.
     """
     diags: list[ModelDiagnostic] = []
 
@@ -387,21 +375,29 @@ def validate_conformance(
             )
             continue
 
-        for slot_name, literal in obj.slots.items():
+        for slot_name, value in obj.slots.items():
             spath = f"{path}.slots[{slot_name}]"
             attr = model_cls.attribute_named(slot_name)
             if attr is None:
                 diags.append(
                     _error(spath, f"class '{model_cls.name}' has no attribute '{slot_name}'")
                 )
-            elif literal.kind is not attr.type:
-                diags.append(
-                    _error(
-                        spath,
-                        f"slot type mismatch: attribute '{slot_name}' is "
-                        f"{attr.type.value}, value is {literal.kind.value}",
-                    )
-                )
+                continue
+            expected = SLOT_TYPES[attr.type]
+            if type(value) is not expected:
+                problem, tail = "type mismatch", "is not"
+            elif expected is int and not INT64_MIN <= value <= INT64_MAX:
+                problem, tail = "out of range", "does not fit in 64 bits"
+            elif expected is float and not math.isfinite(value):
+                problem, tail = "out of range", "is not finite"
+            else:
+                continue
+            try:
+                shown = repr(value)
+            except ValueError:  # Python will not print an int of over 4300 digits
+                shown = f"of {value.bit_length()} bits"
+            detail = f"attribute '{slot_name}' is {attr.type.value}, value {shown}"
+            diags.append(_error(spath, f"slot {problem}: {detail} {tail}"))
 
     for link in objects.links:
         path = f"links[{link.name}]"

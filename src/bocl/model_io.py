@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import re
 from enum import Enum
 from pathlib import Path
@@ -35,7 +36,6 @@ from .model import (
     ClassDef,
     ConstraintDef,
     LinkInstance,
-    LiteralValue,
     ModelDiagnostic,
     Multiplicity,
     ObjectInstance,
@@ -50,7 +50,7 @@ from .model import (
 MODEL_SCHEMA_VERSION = "bocl-model/1"
 OBJECTS_SCHEMA_VERSION = "bocl-objects/1"
 
-_DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}\Z")
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}\Z")
 
 
 class IoErrorKind(Enum):
@@ -87,17 +87,18 @@ class ReportFormat(Enum):
 
 def _load_document(path: str | Path, expected_version: str) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise IoError(IoErrorKind.NOT_FOUND, f"no such file: {path}") from None
     except OSError as error:
         raise IoError(IoErrorKind.NOT_FOUND, f"cannot read {path}: {error}") from None
-    try:
-        doc = json.loads(text)
     except json.JSONDecodeError as error:
         raise IoError(
             IoErrorKind.MALFORMED, error.msg, line=error.lineno, col=error.colno
         ) from None
+    except (ValueError, RecursionError) as error:
+        # Not UTF-8, an integer of over 4300 digits, or nesting too deep.
+        raise IoError(IoErrorKind.MALFORMED, str(error)) from None
     if not isinstance(doc, dict):
         raise IoError(IoErrorKind.MALFORMED, "document root must be an object")
     version = doc.get("schemaVersion")
@@ -293,38 +294,36 @@ def save_structural(model: StructuralModel, path: str | Path) -> None:
 
 # ---------- Object model ----------
 
-def _literal_from_json(value: object, attr: Attribute, where: str) -> LiteralValue:
-    kind = attr.type
-    if kind is PrimitiveType.BOOL and isinstance(value, bool):
-        return LiteralValue(kind, value)
-    if kind is PrimitiveType.INT and isinstance(value, int) and not isinstance(value, bool):
-        return LiteralValue(kind, value)
-    if kind is PrimitiveType.REAL and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return LiteralValue(kind, float(value))
-    if kind is PrimitiveType.STR and isinstance(value, str):
-        return LiteralValue(kind, value)
-    if kind is PrimitiveType.DATE and isinstance(value, str):
+def _decode_slot(value: object, attr: Attribute | None, where: str) -> object:
+    """Decode what JSON cannot express: a date, or a whole number for a
+    real. Every other value is kept as it is for validate_conformance."""
+    if attr is None:
+        return value
+    if attr.type is PrimitiveType.DATE and isinstance(value, str):
         if not _DATE_RE.match(value):
             raise IoError(
                 IoErrorKind.CONFORMANCE,
                 f'{where}: date must be "YYYY-MM-DD", found {value!r}',
             )
         try:
-            return LiteralValue(kind, datetime.date.fromisoformat(value))
+            return datetime.date.fromisoformat(value)
         except ValueError as error:
             raise IoError(IoErrorKind.CONFORMANCE, f"{where}: {error}") from None
-    raise IoError(
-        IoErrorKind.CONFORMANCE,
-        f"{where}: slot type mismatch: attribute '{attr.name}' is {kind.value}, "
-        f"value {value!r} is not",
-    )
+    if attr.type is PrimitiveType.REAL and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+    return value
 
 
 def objects_from_document(doc: dict, model: StructuralModel) -> ObjectModel:
     """Build an ObjectModel from a parsed bocl-objects/1 document.
 
-    Raises IoError Conformance for references that do not resolve against
-    the structural model; full conformance validation is the caller's job.
+    Raises IoError for a malformed shape, a date it cannot decode, or a
+    link it cannot wire to the structural model. An unknown class gets a
+    placeholder ClassDef; that and every slot problem are left to
+    validate_conformance.
     """
     _check_keys(doc, {"schemaVersion", "name"}, {"objects", "links"}, "objects document")
     name = _str_field(doc, "name", "objects document")
@@ -335,24 +334,16 @@ def objects_from_document(doc: dict, model: StructuralModel) -> ObjectModel:
         _check_keys(raw, {"name", "class"}, {"slots"}, where)
         obj_name = _str_field(raw, "name", where)
         class_name = _str_field(raw, "class", where)
-        cls = model.class_named(class_name)
-        if cls is None:
-            raise IoError(
-                IoErrorKind.CONFORMANCE, f"{where}: unknown class {class_name!r}"
-            )
+        cls = model.class_named(class_name) or ClassDef(class_name)
         slots_raw = raw.get("slots", {})
         if not isinstance(slots_raw, dict):
             raise _malformed(f"{where}.slots must be an object")
-        slots = {}
-        for attr_name, value in slots_raw.items():
-            swhere = f"{where}.slots[{attr_name}]"
-            attr = cls.attribute_named(attr_name)
-            if attr is None:
-                raise IoError(
-                    IoErrorKind.CONFORMANCE,
-                    f"{swhere}: class '{class_name}' has no attribute '{attr_name}'",
-                )
-            slots[attr_name] = _literal_from_json(value, attr, swhere)
+        slots = {
+            attr_name: _decode_slot(
+                value, cls.attribute_named(attr_name), f"{where}.slots[{attr_name}]"
+            )
+            for attr_name, value in slots_raw.items()
+        }
         objects.append(ObjectInstance(obj_name, cls, slots))
 
     obj_by_name = {obj.name: obj for obj in objects}
@@ -410,10 +401,8 @@ def objects_from_document(doc: dict, model: StructuralModel) -> ObjectModel:
 
 
 def objects_to_document(objects: ObjectModel) -> dict:
-    def slot_value(literal: LiteralValue) -> object:
-        if literal.kind is PrimitiveType.DATE:
-            return literal.value.isoformat()
-        return literal.value
+    def slot_value(value: object) -> object:
+        return value.isoformat() if isinstance(value, datetime.date) else value
 
     return {
         "schemaVersion": OBJECTS_SCHEMA_VERSION,

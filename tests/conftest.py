@@ -11,7 +11,6 @@ from bocl.model import (
     ClassDef,
     ConstraintDef,
     LinkInstance,
-    LiteralValue,
     Multiplicity,
     ObjectInstance,
     ObjectModel,
@@ -101,25 +100,25 @@ def build_library_objects(model: StructuralModel, pages: int = 20) -> ObjectMode
         "library_obj",
         library,
         {
-            "name": LiteralValue(PrimitiveType.STR, "Children Library"),
-            "address": LiteralValue(PrimitiveType.STR, "Street 123"),
+            "name": "Children Library",
+            "address": "Street 123",
         },
     )
     book_obj = ObjectInstance(
         "book_obj",
         book,
         {
-            "title": LiteralValue(PrimitiveType.STR, "Colors"),
-            "pages": LiteralValue(PrimitiveType.INT, pages),
-            "release": LiteralValue(PrimitiveType.DATE, datetime.date(2020, 3, 15)),
+            "title": "Colors",
+            "pages": pages,
+            "release": datetime.date(2020, 3, 15),
         },
     )
     author_obj = ObjectInstance(
         "author_obj",
         author,
         {
-            "name": LiteralValue(PrimitiveType.STR, "John Doe"),
-            "email": LiteralValue(PrimitiveType.STR, "john@doe.com"),
+            "name": "John Doe",
+            "email": "john@doe.com",
         },
     )
     links = (

@@ -43,7 +43,6 @@ from bocl.model import (
     BinaryAssociation,
     ClassDef,
     LinkInstance,
-    LiteralValue,
     Multiplicity,
     ObjectInstance,
     ObjectModel,
@@ -164,21 +163,21 @@ _SLOT_STRINGS = ["x", "y", "zz"]
 
 def _random_slots(
     rng: random.Random, cls: ClassDef, fill_all: bool
-) -> dict[str, LiteralValue]:
+) -> dict[str, object]:
     slots = {}
     for attr in cls.attributes:
         if not fill_all and rng.random() < 0.1:
             continue  # leave the slot missing
         if attr.type is PrimitiveType.INT:
-            value = LiteralValue(attr.type, rng.randint(-5, 5))
+            value = rng.randint(-5, 5)
         elif attr.type is PrimitiveType.REAL:
-            value = LiteralValue(attr.type, rng.randint(-10, 10) / 2.0)
+            value = rng.randint(-10, 10) / 2.0
         elif attr.type is PrimitiveType.STR:
-            value = LiteralValue(attr.type, rng.choice(_SLOT_STRINGS))
+            value = rng.choice(_SLOT_STRINGS)
         elif attr.type is PrimitiveType.BOOL:
-            value = LiteralValue(attr.type, rng.random() < 0.5)
+            value = rng.random() < 0.5
         else:
-            value = LiteralValue(attr.type, rng.choice(_DATE_POOL))
+            value = rng.choice(_DATE_POOL)
         slots[attr.name] = value
     return slots
 

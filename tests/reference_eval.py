@@ -103,7 +103,7 @@ def _eval(expr, model, objects, self_obj, scope):
         if attr is not None:
             if expr.name not in obj.slots:
                 raise RefEvalError("MissingSlot")
-            return obj.slots[expr.name].value
+            return obj.slots[expr.name]
         end = None
         for assoc in model.associations:
             for candidate, opposite in ((assoc.end1, assoc.end2), (assoc.end2, assoc.end1)):

@@ -101,14 +101,14 @@ def test_criterion_2_if_then_else_paths(built_model):
 
 
 def _with_library_name(model, new_name):
-    from bocl.model import LiteralValue, ObjectInstance, PrimitiveType
+    from bocl.model import ObjectInstance
 
     base = build_library_objects(model)
     replaced = []
     for obj in base.objects:
         if obj.name == "library_obj":
             slots = dict(obj.slots)
-            slots["name"] = LiteralValue(PrimitiveType.STR, new_name)
+            slots["name"] = new_name
             obj = ObjectInstance(obj.name, obj.classifier, slots)
         replaced.append(obj)
     by_name = {o.name: o for o in replaced}

@@ -294,3 +294,63 @@ def test_eval_deep_constraint_is_one_error(tmp_path, model_doc, objects_path, ca
         "self.contains->select(i_book : Book | i_book.pages <= 110)->size()>0:True",
     ]
     assert "Traceback" not in captured.err
+
+
+# Bytes that json.loads cannot turn into a document without a traceback.
+UNDECODABLE = {
+    "long_int": b'{"n": ' + b"1" * 5000 + b"}",
+    "deep": b"[" * 100_000,
+    "not_utf8": b'{"name": "caf\xe9"}',
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNDECODABLE))
+@pytest.mark.parametrize("bad_doc", ["check model", "eval model", "eval objects"])
+def test_undecodable_json_is_malformed(
+    tmp_path, model_path, objects_path, capsys, kind, bad_doc
+):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(UNDECODABLE[kind])
+    command, which = bad_doc.split()
+    paths = {"model": str(model_path), "objects": str(objects_path), which: str(bad)}
+    argv = [command, paths["model"]]
+    if command == "eval":
+        argv.append(paths["objects"])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("Malformed: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_eval_int_slot_beyond_64_bits(tmp_path, model_path, objects_doc, capsys):
+    for obj in objects_doc["objects"]:
+        if obj["name"] == "book_obj":
+            obj["slots"]["pages"] = 2**63
+    code = main(["eval", str(model_path), write(tmp_path, "o.json", objects_doc)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "Conformance: error: objects[book_obj].slots[pages]: slot out of range: "
+        "attribute 'pages' is int, value 9223372036854775808 does not fit in 64 bits\n"
+    )
+
+
+def test_eval_real_slot_beyond_float_range(tmp_path, model_doc, objects_doc, capsys):
+    for cls in model_doc["classes"]:
+        if cls["name"] == "Book":
+            cls["attributes"].append({"name": "price", "type": "real"})
+    for obj in objects_doc["objects"]:
+        if obj["name"] == "book_obj":
+            obj["slots"]["price"] = 10**400
+    model_path = write(tmp_path, "m.json", model_doc)
+    code = main(["eval", model_path, write(tmp_path, "o.json", objects_doc)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "Conformance: error: objects[book_obj].slots[price]: slot out of range: "
+        "attribute 'price' is real, value inf is not finite\n"
+    )

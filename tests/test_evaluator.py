@@ -28,7 +28,6 @@ from bocl.evaluator import (
 )
 from bocl.model import (
     ConstraintDef,
-    LiteralValue,
     ObjectInstance,
     ObjectModel,
     PrimitiveType,
@@ -138,7 +137,7 @@ def test_for_all_over_empty_navigation(built_model):
     lonely = ObjectInstance(
         "lib",
         library,
-        {"name": LiteralValue(PrimitiveType.STR, "x")},
+        {"name": "x"},
     )
     objects = ObjectModel("m", (lonely,))
     verdict = run(
@@ -208,7 +207,7 @@ def test_scalar_navigation_without_link_is_error(built_model):
 
 def test_error_keeps_partial_per_instance(built_model):
     book = built_model.class_named("Book")
-    good = ObjectInstance("a_ok", book, {"pages": LiteralValue(PrimitiveType.INT, 3)})
+    good = ObjectInstance("a_ok", book, {"pages": 3})
     bad = ObjectInstance("b_bad", book, {})
     objects = ObjectModel("m", (good, bad))
     verdict = run(built_model, objects, "context Book inv v: self.pages > 0")

@@ -1,9 +1,12 @@
+import copy
 import datetime
 import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bocl.evaluator import (
     ConstraintResult,
@@ -26,6 +29,7 @@ from bocl.model_io import (
     write_report,
 )
 
+from conftest import MODEL_PATH, OBJECTS_PATH
 from generators import make_random_model, make_random_objects
 
 
@@ -47,9 +51,7 @@ def test_load_golden_objects(library_model, library_objects):
     assert len(library_objects.objects) == 3
     assert len(library_objects.links) == 2
     book_obj = library_objects.object_named("book_obj")
-    release = book_obj.slots["release"]
-    assert release.kind is PrimitiveType.DATE
-    assert release.value == datetime.date(2020, 3, 15)
+    assert book_obj.slots["release"] == datetime.date(2020, 3, 15)
 
 
 def test_golden_objects_have_no_warnings(library_model, objects_path):
@@ -136,36 +138,100 @@ def test_unknown_object_class(tmp_path, objects_doc, library_model):
     assert "Magazine" in str(exc.value)
 
 
-def test_slot_type_mismatch_at_load(objects_doc, library_model):
+def _load_objects_doc(tmp_path, objects_doc, model):
+    path = tmp_path / "o.json"
+    path.write_text(json.dumps(objects_doc))
+    return load_objects(path, model)
+
+
+def _set_book_slot(objects_doc, attr_name, value):
     for obj in objects_doc["objects"]:
         if obj["name"] == "book_obj":
-            obj["slots"]["pages"] = "twenty"
+            obj["slots"][attr_name] = value
+
+
+def test_slot_type_mismatch_at_load(tmp_path, objects_doc, library_model):
+    _set_book_slot(objects_doc, "pages", "twenty")
     with pytest.raises(IoError) as exc:
-        objects_from_document(objects_doc, library_model)
+        _load_objects_doc(tmp_path, objects_doc, library_model)
     assert exc.value.kind is IoErrorKind.CONFORMANCE
     assert "slot type mismatch" in str(exc.value)
 
 
-def test_bool_is_not_an_int_slot(objects_doc, library_model):
-    for obj in objects_doc["objects"]:
-        if obj["name"] == "book_obj":
-            obj["slots"]["pages"] = True
+def test_bool_is_not_an_int_slot(tmp_path, objects_doc, library_model):
+    _set_book_slot(objects_doc, "pages", True)
     with pytest.raises(IoError, match="slot type mismatch"):
-        objects_from_document(objects_doc, library_model)
+        _load_objects_doc(tmp_path, objects_doc, library_model)
 
 
 def test_bad_date_format(objects_doc, library_model):
-    for obj in objects_doc["objects"]:
-        if obj["name"] == "book_obj":
-            obj["slots"]["release"] = "15/03/2020"
+    _set_book_slot(objects_doc, "release", "15/03/2020")
     with pytest.raises(IoError, match="YYYY-MM-DD"):
         objects_from_document(objects_doc, library_model)
 
 
-def test_unknown_slot_attribute(objects_doc, library_model):
+def test_date_needs_ascii_digits(objects_doc, library_model):
+    _set_book_slot(objects_doc, "release", "\u0662\u0660\u0662\u0660-01-01")
+    with pytest.raises(IoError, match="YYYY-MM-DD"):
+        objects_from_document(objects_doc, library_model)
+
+
+def test_unknown_slot_attribute(tmp_path, objects_doc, library_model):
     objects_doc["objects"][0]["slots"]["shelf"] = 3
     with pytest.raises(IoError, match="no attribute"):
-        objects_from_document(objects_doc, library_model)
+        _load_objects_doc(tmp_path, objects_doc, library_model)
+
+
+def test_conformance_lists_every_error(tmp_path, objects_doc, library_model):
+    _set_book_slot(objects_doc, "pages", 2**63)
+    _set_book_slot(objects_doc, "title", 7)
+    objects_doc["objects"].append({"name": "mag", "class": "Magazine"})
+    with pytest.raises(IoError) as exc:
+        _load_objects_doc(tmp_path, objects_doc, library_model)
+    assert exc.value.kind is IoErrorKind.CONFORMANCE
+    assert [str(d) for d in exc.value.diagnostics] == [
+        "error: objects[book_obj].slots[title]: slot type mismatch: "
+        "attribute 'title' is str, value 7 is not",
+        "error: objects[book_obj].slots[pages]: slot out of range: "
+        "attribute 'pages' is int, value 9223372036854775808 does not fit in 64 bits",
+        "error: objects[mag]: unknown class 'Magazine'",
+    ]
+
+
+def _model_with_price(tmp_path, model_doc):
+    for cls in model_doc["classes"]:
+        if cls["name"] == "Book":
+            cls["attributes"].append({"name": "price", "type": "real"})
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(model_doc))
+    return load_structural(path)
+
+
+def test_whole_number_in_real_slot_becomes_float(tmp_path, model_doc, objects_doc):
+    model = _model_with_price(tmp_path, model_doc)
+    _set_book_slot(objects_doc, "price", 12)
+    objects, _ = _load_objects_doc(tmp_path, objects_doc, model)
+    price = objects.object_named("book_obj").slots["price"]
+    assert type(price) is float and price == 12.0
+
+
+@pytest.mark.parametrize(
+    "text, shown",
+    [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf"),
+     ("1" + "0" * 400, "inf"), ("-1" + "0" * 400, "-inf")],
+)
+def test_real_slot_must_be_finite(tmp_path, model_doc, objects_doc, text, shown):
+    model = _model_with_price(tmp_path, model_doc)
+    path = tmp_path / "o.json"
+    _set_book_slot(objects_doc, "price", "PRICE")
+    path.write_text(json.dumps(objects_doc).replace('"PRICE"', text))
+    with pytest.raises(IoError) as exc:
+        load_objects(path, model)
+    assert exc.value.kind is IoErrorKind.CONFORMANCE
+    assert [str(d) for d in exc.value.diagnostics] == [
+        "error: objects[book_obj].slots[price]: slot out of range: "
+        f"attribute 'price' is real, value {shown} is not finite"
+    ]
 
 
 def test_link_unknown_role(objects_doc, library_model):
@@ -247,6 +313,73 @@ def test_language_must_be_ocl(tmp_path, model_doc):
     with pytest.raises(IoError) as exc:
         load_structural(path)
     assert exc.value.kind is IoErrorKind.VALIDATION
+
+
+# -- loader fuzzing --
+
+# Replacement values: JSON scalars and containers at their edges, plus the
+# library model's own names and type names, so that a mutation can still
+# point at something that exists.
+_FUZZ_POOL = [
+    None, True, False, 0, 2**63, 10**400, 1.5, "", "2020-02-30", [], {},
+    "Book", "Library", "Author", "contains", "locatedIn", "writedBy",
+    "lib_book_assoc", "book_obj", "library_obj", "author_obj", "int", "real", "date",
+]
+
+
+def _node_paths(node, prefix=()):
+    """The key path of every node below the root of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _node_paths(child, prefix + (key,))
+
+
+def _mutate(data, doc):
+    """Delete one to three nodes of doc or replace them from the pool."""
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_node_paths(doc))
+        if not paths:
+            break
+        *parents, key = data.draw(st.sampled_from(paths))
+        parent = doc
+        for step in parents:
+            parent = parent[step]
+        if data.draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_POOL)))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_loaders_raise_only_io_error(fuzz_dir, data):
+    model_doc = json.loads(MODEL_PATH.read_text(encoding="utf-8"))
+    objects_doc = json.loads(OBJECTS_PATH.read_text(encoding="utf-8"))
+    if data.draw(st.booleans()):
+        model_doc = _mutate(data, model_doc)
+    else:
+        objects_doc = _mutate(data, objects_doc)
+    model_path = fuzz_dir / "m.json"
+    objects_path = fuzz_dir / "o.json"
+    model_path.write_text(json.dumps(model_doc), encoding="utf-8")
+    objects_path.write_text(json.dumps(objects_doc), encoding="utf-8")
+    try:
+        load_objects(objects_path, load_structural(model_path))
+    except IoError:
+        pass
 
 
 # -- reports --

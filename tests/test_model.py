@@ -1,5 +1,6 @@
 import dataclasses
 import datetime
+import math
 import random
 
 import pytest
@@ -10,7 +11,6 @@ from bocl.model import (
     BinaryAssociation,
     ClassDef,
     LinkInstance,
-    LiteralValue,
     Multiplicity,
     ObjectInstance,
     ObjectModel,
@@ -106,17 +106,17 @@ def test_empty_object_model_conforms_vacuously(built_model):
 
 def test_slot_type_mismatch(built_model):
     book = built_model.class_named("Book")
-    obj = ObjectInstance(
-        "book_obj", book, {"pages": LiteralValue(PrimitiveType.STR, "twenty")}
-    )
+    obj = ObjectInstance("book_obj", book, {"pages": "twenty"})
     diags = validate_conformance(ObjectModel("m", (obj,)), built_model)
-    assert any("slot type mismatch" in d.message for d in diags)
+    assert [d.message for d in diags] == [
+        "slot type mismatch: attribute 'pages' is int, value 'twenty' is not"
+    ]
     assert all(d.severity is Severity.ERROR for d in diags)
 
 
 def test_unknown_slot_name(built_model):
     book = built_model.class_named("Book")
-    obj = ObjectInstance("b", book, {"pag": LiteralValue(PrimitiveType.INT, 1)})
+    obj = ObjectInstance("b", book, {"pag": 1})
     diags = validate_conformance(ObjectModel("m", (obj,)), built_model)
     assert any("no attribute" in d.message for d in diags)
 
@@ -133,8 +133,8 @@ def test_zero_links_on_star_end_is_fine(built_model):
         "lib",
         library,
         {
-            "name": LiteralValue(PrimitiveType.STR, "x"),
-            "address": LiteralValue(PrimitiveType.STR, "y"),
+            "name": "x",
+            "address": "y",
         },
     )
     diags = validate_conformance(ObjectModel("m", (obj,)), built_model)
@@ -144,7 +144,7 @@ def test_zero_links_on_star_end_is_fine(built_model):
 
 def test_missing_mandatory_link_is_warning_only(built_model):
     book = built_model.class_named("Book")
-    obj = ObjectInstance("lonely", book, {"pages": LiteralValue(PrimitiveType.INT, 5)})
+    obj = ObjectInstance("lonely", book, {"pages": 5})
     diags = validate_conformance(ObjectModel("m", (obj,)), built_model)
     # writedBy is 1..* and locatedIn is 1..1: two count violations, warnings only.
     warnings = [d for d in diags if d.severity is Severity.WARNING]
@@ -423,29 +423,86 @@ def test_object_model_canonicalizes_order(built_model):
     assert [o.name for o in model.objects] == ["a", "m", "z"]
 
 
-# -- literal values --
+# -- slot values --
 
-def test_literal_value_kind_checked():
-    with pytest.raises(ValueError):
-        LiteralValue(PrimitiveType.INT, "twenty")
-    with pytest.raises(ValueError):
-        LiteralValue(PrimitiveType.BOOL, 1)
-    with pytest.raises(ValueError):
-        LiteralValue(PrimitiveType.INT, True)
-    with pytest.raises(ValueError):
-        LiteralValue(PrimitiveType.REAL, 2)
-
-
-def test_literal_value_int_range():
-    LiteralValue(PrimitiveType.INT, 2**63 - 1)
-    with pytest.raises(ValueError, match="64-bit"):
-        LiteralValue(PrimitiveType.INT, 2**63)
+_ITEM = ClassDef(
+    "Item",
+    (
+        Attribute("count", PrimitiveType.INT),
+        Attribute("price", PrimitiveType.REAL),
+        Attribute("label", PrimitiveType.STR),
+        Attribute("flag", PrimitiveType.BOOL),
+        Attribute("day", PrimitiveType.DATE),
+    ),
+)
 
 
-def test_literal_value_date_not_datetime():
-    LiteralValue(PrimitiveType.DATE, datetime.date(2020, 3, 15))
-    with pytest.raises(ValueError):
-        LiteralValue(PrimitiveType.DATE, datetime.datetime(2020, 3, 15, 12, 0))
+def _slot_diagnostics(attr_name, value):
+    """Conformance messages for one Item whose only slot is attr_name."""
+    model = StructuralModel("m", (_ITEM,))
+    objects = ObjectModel("o", (ObjectInstance("i", _ITEM, {attr_name: value}),))
+    return [str(d) for d in validate_conformance(objects, model)]
+
+
+@pytest.mark.parametrize(
+    "attr_name, value",
+    [
+        ("count", 3),
+        ("price", 2.5),
+        ("label", "x"),
+        ("flag", False),
+        ("day", datetime.date(2020, 3, 15)),
+    ],
+)
+def test_conformance_accepts_slot_of_attribute_type(attr_name, value):
+    assert _slot_diagnostics(attr_name, value) == []
+
+
+def test_conformance_slot_kind_checked():
+    for attr_name, type_name, value in [
+        ("count", "int", "twenty"),
+        ("flag", "bool", 1),
+        ("count", "int", True),
+        ("price", "real", 2),
+        ("label", "str", None),
+        ("day", "date", "2020-03-15"),
+    ]:
+        assert _slot_diagnostics(attr_name, value) == [
+            f"error: objects[i].slots[{attr_name}]: slot type mismatch: "
+            f"attribute '{attr_name}' is {type_name}, value {value!r} is not"
+        ]
+
+
+def test_conformance_int_slot_range():
+    assert _slot_diagnostics("count", 2**63 - 1) == []
+    assert _slot_diagnostics("count", -(2**63)) == []
+    for value in (2**63, -(2**63) - 1):
+        assert _slot_diagnostics("count", value) == [
+            "error: objects[i].slots[count]: slot out of range: "
+            f"attribute 'count' is int, value {value} does not fit in 64 bits"
+        ]
+    # Too long for repr: the message gives the size instead of the digits.
+    assert _slot_diagnostics("count", 10**5000) == [
+        "error: objects[i].slots[count]: slot out of range: "
+        "attribute 'count' is int, value of 16610 bits does not fit in 64 bits"
+    ]
+
+
+def test_conformance_real_slot_is_finite():
+    assert _slot_diagnostics("price", 1e308) == []
+    for value in (math.nan, math.inf, -math.inf):
+        assert _slot_diagnostics("price", value) == [
+            "error: objects[i].slots[price]: slot out of range: "
+            f"attribute 'price' is real, value {value!r} is not finite"
+        ]
+
+
+def test_conformance_date_slot_not_datetime():
+    value = datetime.datetime(2020, 3, 15, 12, 0)
+    assert _slot_diagnostics("day", value) == [
+        "error: objects[i].slots[day]: slot type mismatch: "
+        f"attribute 'day' is date, value {value!r} is not"
+    ]
 
 
 def test_built_and_loaded_models_agree(built_model, built_objects, library_model, library_objects):
