@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal
 from enum import Enum
 
@@ -257,50 +257,54 @@ def pretty_print(node: Expr | ConstraintAst) -> str:
 
 AST_SCHEMA_VERSION = "bocl-ast/1"
 
+_OPTIONAL_STR = str | None
+
+# The one description of bocl-ast/1: each node kind's class and its
+# (JSON key, field name, field type) triples, in JSON key order. A field
+# of type Expr holds a child node; an Enum field is stored by its value.
+_NODES = {
+    "Self": (SelfExp, ()),
+    "Property": (PropertyExp, (("source", "source", Expr), ("name", "name", str))),
+    "Variable": (VariableExp, (("name", "name", str),)),
+    "IntegerLiteral": (IntegerLiteralExp, (("value", "value", int),)),
+    "RealLiteral": (RealLiteralExp, (("value", "value", float),)),
+    "StringLiteral": (StringLiteralExp, (("value", "value", str),)),
+    "BooleanLiteral": (BooleanLiteralExp, (("value", "value", bool),)),
+    "OperationCall": (OperationCallExp, (
+        ("op", "op", InfixOperator), ("left", "left", Expr), ("right", "right", Expr))),
+    "Unary": (UnaryExp, (("op", "op", UnaryOperator), ("operand", "operand", Expr))),
+    "If": (IfExp, (
+        ("condition", "condition", Expr), ("then", "then_branch", Expr),
+        ("else", "else_branch", Expr))),
+    "Iterator": (IteratorExp, (
+        ("iterator", "kind", IteratorKind), ("source", "source", Expr), ("var", "var_name", str),
+        ("varType", "var_type_name", _OPTIONAL_STR), ("body", "body", Expr))),
+    "CollectionOp": (CollectionOpExp, (("op", "op", CollectionOp), ("source", "source", Expr))),
+}
+
+_KIND_OF_CLASS = {cls: (kind, spec) for kind, (cls, spec) in _NODES.items()}
+
+# The decoder reads each kind's fields in its dataclass's field order, the
+# order of the constructor's arguments.
+_DECODERS = {
+    kind: (cls, [next(triple for triple in spec if triple[1] == f.name) for f in fields(cls)])
+    for kind, (cls, spec) in _NODES.items()
+}
+
 
 def expr_to_json(expr: Expr) -> dict:
-    if isinstance(expr, SelfExp):
-        return {"kind": "Self"}
-    if isinstance(expr, PropertyExp):
-        return {"kind": "Property", "source": expr_to_json(expr.source), "name": expr.name}
-    if isinstance(expr, VariableExp):
-        return {"kind": "Variable", "name": expr.name}
-    if isinstance(expr, IntegerLiteralExp):
-        return {"kind": "IntegerLiteral", "value": expr.value}
-    if isinstance(expr, RealLiteralExp):
-        return {"kind": "RealLiteral", "value": expr.value}
-    if isinstance(expr, StringLiteralExp):
-        return {"kind": "StringLiteral", "value": expr.value}
-    if isinstance(expr, BooleanLiteralExp):
-        return {"kind": "BooleanLiteral", "value": expr.value}
-    if isinstance(expr, OperationCallExp):
-        return {
-            "kind": "OperationCall",
-            "op": expr.op.value,
-            "left": expr_to_json(expr.left),
-            "right": expr_to_json(expr.right),
-        }
-    if isinstance(expr, UnaryExp):
-        return {"kind": "Unary", "op": expr.op.value, "operand": expr_to_json(expr.operand)}
-    if isinstance(expr, IfExp):
-        return {
-            "kind": "If",
-            "condition": expr_to_json(expr.condition),
-            "then": expr_to_json(expr.then_branch),
-            "else": expr_to_json(expr.else_branch),
-        }
-    if isinstance(expr, IteratorExp):
-        return {
-            "kind": "Iterator",
-            "iterator": expr.kind.value,
-            "source": expr_to_json(expr.source),
-            "var": expr.var_name,
-            "varType": expr.var_type_name,
-            "body": expr_to_json(expr.body),
-        }
-    if isinstance(expr, CollectionOpExp):
-        return {"kind": "CollectionOp", "op": expr.op.value, "source": expr_to_json(expr.source)}
-    raise TypeError(f"not an expression node: {expr!r}")
+    if type(expr) not in _KIND_OF_CLASS:
+        raise TypeError(f"not an expression node: {expr!r}")
+    kind, spec = _KIND_OF_CLASS[type(expr)]
+    doc = {"kind": kind}
+    for key, name, type_ in spec:
+        value = getattr(expr, name)
+        if type_ is Expr:
+            value = expr_to_json(value)
+        elif isinstance(value, Enum):
+            value = value.value
+        doc[key] = value
+    return doc
 
 
 def _expect(doc: dict, key: str, types) -> object:
@@ -314,62 +318,36 @@ def _expect(doc: dict, key: str, types) -> object:
     return value
 
 
+def _decode_leaf(doc: dict, key: str, type_) -> object:
+    """Read one field that is not a child node."""
+    if type_ is _OPTIONAL_STR:
+        value = _expect(doc, key, None)
+        if not isinstance(value, type_):
+            raise ValueError(f"{key} must be a string or null")
+        return value
+    if issubclass(type_, Enum):
+        return type_(_expect(doc, key, str))
+    # JSON has one number type, so a real may be written as an integer;
+    # a bool is never a number, though Python counts it as an int.
+    value = _expect(doc, key, (int, float) if type_ is float else type_)
+    if isinstance(value, bool) and type_ is not bool:
+        noun = "a number" if type_ is float else "an integer"
+        raise ValueError(f"{doc['kind']} {key} must be {noun}")
+    return float(value) if type_ is float else value
+
+
 def expr_from_json(doc: dict) -> Expr:
     kind = _expect(doc, "kind", str)
-    if kind == "Self":
-        return SelfExp()
-    if kind == "Property":
-        return PropertyExp(expr_from_json(_expect(doc, "source", dict)), _expect(doc, "name", str))
-    if kind == "Variable":
-        return VariableExp(_expect(doc, "name", str))
-    if kind == "IntegerLiteral":
-        value = _expect(doc, "value", int)
-        if isinstance(value, bool):
-            raise ValueError("IntegerLiteral value must be an integer")
-        return IntegerLiteralExp(value)
-    if kind == "RealLiteral":
-        value = _expect(doc, "value", (int, float))
-        if isinstance(value, bool):
-            raise ValueError("RealLiteral value must be a number")
-        return RealLiteralExp(float(value))
-    if kind == "StringLiteral":
-        return StringLiteralExp(_expect(doc, "value", str))
-    if kind == "BooleanLiteral":
-        return BooleanLiteralExp(_expect(doc, "value", bool))
-    if kind == "OperationCall":
-        return OperationCallExp(
-            InfixOperator(_expect(doc, "op", str)),
-            expr_from_json(_expect(doc, "left", dict)),
-            expr_from_json(_expect(doc, "right", dict)),
-        )
-    if kind == "Unary":
-        return UnaryExp(
-            UnaryOperator(_expect(doc, "op", str)),
-            expr_from_json(_expect(doc, "operand", dict)),
-        )
-    if kind == "If":
-        return IfExp(
-            expr_from_json(_expect(doc, "condition", dict)),
-            expr_from_json(_expect(doc, "then", dict)),
-            expr_from_json(_expect(doc, "else", dict)),
-        )
-    if kind == "Iterator":
-        var_type = _expect(doc, "varType", None)
-        if var_type is not None and not isinstance(var_type, str):
-            raise ValueError("varType must be a string or null")
-        return IteratorExp(
-            expr_from_json(_expect(doc, "source", dict)),
-            IteratorKind(_expect(doc, "iterator", str)),
-            _expect(doc, "var", str),
-            var_type,
-            expr_from_json(_expect(doc, "body", dict)),
-        )
-    if kind == "CollectionOp":
-        return CollectionOpExp(
-            expr_from_json(_expect(doc, "source", dict)),
-            CollectionOp(_expect(doc, "op", str)),
-        )
-    raise ValueError(f"unknown node kind {kind!r}")
+    if kind not in _DECODERS:
+        raise ValueError(f"unknown node kind {kind!r}")
+    cls, spec = _DECODERS[kind]
+    args = []
+    for key, _, type_ in spec:
+        if type_ is Expr:
+            args.append(expr_from_json(_expect(doc, key, dict)))
+        else:
+            args.append(_decode_leaf(doc, key, type_))
+    return cls(*args)
 
 
 def ast_to_json(ast: ConstraintAst) -> dict:
@@ -386,12 +364,7 @@ def ast_from_json(doc: dict) -> ConstraintAst:
     version = _expect(doc, "schemaVersion", str)
     if version != AST_SCHEMA_VERSION:
         raise ValueError(f"unsupported AST schema version {version!r}")
-    name = _expect(doc, "name", None)
-    if name is not None and not isinstance(name, str):
-        raise ValueError("name must be a string or null")
-    return ConstraintAst(
-        context_class_name=_expect(doc, "context", str),
-        stereotype=Stereotype(_expect(doc, "stereotype", str)),
-        constraint_name=name,
-        body=expr_from_json(_expect(doc, "body", dict)),
-    )
+    name = _decode_leaf(doc, "name", _OPTIONAL_STR)
+    context = _decode_leaf(doc, "context", str)
+    stereotype = _decode_leaf(doc, "stereotype", Stereotype)
+    return ConstraintAst(context, stereotype, name, expr_from_json(_expect(doc, "body", dict)))

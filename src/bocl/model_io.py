@@ -184,8 +184,9 @@ def structural_from_document(doc: dict) -> StructuralModel:
         classes.append(ClassDef(_str_field(raw, "name", where), tuple(attrs)))
 
     # An unknown class name gets a placeholder ClassDef; validate_structural
-    # reports it as "not a model class".
-    by_name = {cls.name: cls for cls in classes}
+    # reports it as "not a model class". A duplicated name means its first
+    # class, the one StructuralModel indexes.
+    by_name = {cls.name: cls for cls in reversed(classes)}
 
     associations = []
     for i, raw in enumerate(_list_field(doc, "associations", "model document")):
@@ -346,7 +347,8 @@ def objects_from_document(doc: dict, model: StructuralModel) -> ObjectModel:
         }
         objects.append(ObjectInstance(obj_name, cls, slots))
 
-    obj_by_name = {obj.name: obj for obj in objects}
+    # A duplicated name means its first object, the one ObjectModel indexes.
+    obj_by_name = {obj.name: obj for obj in reversed(objects)}
 
     links = []
     for i, raw in enumerate(_list_field(doc, "links", "objects document")):

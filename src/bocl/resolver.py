@@ -91,11 +91,9 @@ def _is_numeric(t: OclType) -> bool:
 
 class ResolutionErrorKind(Enum):
     UNKNOWN_PROPERTY = "UnknownProperty"
-    UNKNOWN_ROLE = "UnknownRole"
     UNKNOWN_VARIABLE = "UnknownVariable"
     TYPE_MISMATCH = "TypeMismatch"
     UNKNOWN_CONTEXT_CLASS = "UnknownContextClass"
-    UNSUPPORTED_CONSTRUCT = "UnsupportedConstruct"
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bocl
 from bocl.ast import (
     BooleanLiteralExp,
     ConstraintAst,
@@ -150,21 +155,111 @@ def test_json_round_trip_seeded_sample():
         assert ast_from_json(json.loads(json.dumps(doc))) == ast
 
 
-def test_expr_json_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="unknown node kind"):
-        expr_from_json({"kind": "Lambda"})
+_SELF = {"kind": "Self"}
 
 
-def test_expr_json_rejects_missing_key():
-    with pytest.raises(ValueError, match="missing key"):
-        expr_from_json({"kind": "Property", "name": "pages"})
+def _document(**changes):
+    doc = {"schemaVersion": "bocl-ast/1", "context": "Book", "stereotype": "inv",
+           "name": "x", "body": _SELF}
+    return {**doc, **changes}
 
 
-def test_ast_json_rejects_wrong_version():
-    doc = ast_to_json(parse_constraint("context Book inv x: true"))
-    doc["schemaVersion"] = "bocl-ast/99"
-    with pytest.raises(ValueError, match="schema version"):
-        ast_from_json(doc)
+def _iterator(**changes):
+    node = {"kind": "Iterator", "iterator": "forAll", "source": _SELF,
+            "var": "b", "varType": None, "body": _SELF}
+    return {**node, **changes}
+
+
+# (id, converter, input, exception type, message): every way the JSON form
+# refuses an input, with the exact message it gives.
+_REJECTIONS = [
+    ("not-an-object", expr_from_json, [], ValueError, "expected an object, got list"),
+    ("child-not-an-object", expr_from_json, {"kind": "Property", "source": [], "name": "pages"},
+     ValueError, "key 'source' has unexpected type list"),
+    ("missing-kind", expr_from_json, {}, ValueError, "node '?' is missing key 'kind'"),
+    ("missing-key", expr_from_json, {"kind": "Property", "name": "pages"},
+     ValueError, "node 'Property' is missing key 'source'"),
+    ("missing-varType", expr_from_json, {"kind": "Iterator", "iterator": "forAll", "source": _SELF,
+                                         "var": "b", "body": _SELF},
+     ValueError, "node 'Iterator' is missing key 'varType'"),
+    ("kind-not-a-string", expr_from_json, {"kind": 3},
+     ValueError, "key 'kind' has unexpected type int"),
+    ("name-not-a-string", expr_from_json, {"kind": "Variable", "name": None},
+     ValueError, "key 'name' has unexpected type NoneType"),
+    ("var-not-a-string", expr_from_json, _iterator(var=1),
+     ValueError, "key 'var' has unexpected type int"),
+    ("float-in-IntegerLiteral", expr_from_json, {"kind": "IntegerLiteral", "value": 1.5},
+     ValueError, "key 'value' has unexpected type float"),
+    ("string-in-RealLiteral", expr_from_json, {"kind": "RealLiteral", "value": "1.5"},
+     ValueError, "key 'value' has unexpected type str"),
+    ("int-in-StringLiteral", expr_from_json, {"kind": "StringLiteral", "value": 1},
+     ValueError, "key 'value' has unexpected type int"),
+    ("int-in-BooleanLiteral", expr_from_json, {"kind": "BooleanLiteral", "value": 1},
+     ValueError, "key 'value' has unexpected type int"),
+    ("bool-in-IntegerLiteral", expr_from_json, {"kind": "IntegerLiteral", "value": True},
+     ValueError, "IntegerLiteral value must be an integer"),
+    ("bool-in-RealLiteral", expr_from_json, {"kind": "RealLiteral", "value": False},
+     ValueError, "RealLiteral value must be a number"),
+    ("varType-not-a-string", expr_from_json, _iterator(varType=7),
+     ValueError, "varType must be a string or null"),
+    ("document-name-not-a-string", ast_from_json, _document(name=["x"]),
+     ValueError, "name must be a string or null"),
+    ("bad-infix-op", expr_from_json, {"kind": "OperationCall", "op": "%", "left": _SELF,
+                                      "right": _SELF},
+     ValueError, "'%' is not a valid InfixOperator"),
+    ("bad-unary-op", expr_from_json, {"kind": "Unary", "op": "!", "operand": _SELF},
+     ValueError, "'!' is not a valid UnaryOperator"),
+    ("bad-iterator", expr_from_json, _iterator(iterator="map"),
+     ValueError, "'map' is not a valid IteratorKind"),
+    ("bad-collection-op", expr_from_json, {"kind": "CollectionOp", "op": "sum", "source": _SELF},
+     ValueError, "'sum' is not a valid CollectionOp"),
+    ("bad-stereotype", ast_from_json, _document(stereotype="pre"),
+     ValueError, "'pre' is not a valid Stereotype"),
+    ("unknown-kind", expr_from_json, {"kind": "Lambda"},
+     ValueError, "unknown node kind 'Lambda'"),
+    ("wrong-schema-version", ast_from_json, _document(schemaVersion="bocl-ast/99"),
+     ValueError, "unsupported AST schema version 'bocl-ast/99'"),
+    ("encode-non-node", expr_to_json, 42, TypeError, "not an expression node: 42"),
+    ("encode-constraint", expr_to_json, ConstraintAst("Book", Stereotype.INV, None, SelfExp()),
+     TypeError, "not an expression node: ConstraintAst(context_class_name='Book', "
+     "stereotype=<Stereotype.INV: 'inv'>, constraint_name=None, body=SelfExp())"),
+]
+
+
+@pytest.mark.parametrize(
+    "convert,value,error,message",
+    [pytest.param(*case[1:], id=case[0]) for case in _REJECTIONS],
+)
+def test_json_form_rejects(convert, value, error, message):
+    with pytest.raises(error) as exc:
+        convert(value)
+    assert str(exc.value) == message
+
+
+# Each direction takes one Python frame per tree level, so a fresh
+# interpreter, under the default recursion limit, has room for 900 levels.
+_DEEP_ROUND_TRIP = """
+from bocl.ast import SelfExp, UnaryExp, UnaryOperator, expr_from_json, expr_to_json
+node = SelfExp()
+for _ in range(900):
+    node = UnaryExp(UnaryOperator.NOT, node)
+node, depth = expr_from_json(expr_to_json(node)), 0
+while isinstance(node, UnaryExp):
+    node, depth = node.operand, depth + 1
+assert (node, depth) == (SelfExp(), 900)
+"""
+
+
+def test_900_deep_not_chain_round_trips():
+    src = str(Path(bocl.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", _DEEP_ROUND_TRIP], env=env, check=True, timeout=60)
+
+
+def test_real_literal_decodes_an_integer_as_float():
+    node = expr_from_json({"kind": "RealLiteral", "value": 2})
+    assert node == RealLiteralExp(2.0)
+    assert type(node.value) is float
 
 
 @pytest.mark.parametrize("value", [0.0, 0.5, 2.0, 110.75, 1e300, 1e-5, 123456.789])

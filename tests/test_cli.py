@@ -1,20 +1,28 @@
+import contextlib
+import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bocl
 
-from bocl.ast import ast_from_json
+from bocl.ast import ast_from_json, pretty_print
 from bocl.cli import main
 from bocl.evaluator import evaluate_constraint
 from bocl.model_io import load_objects, load_structural
 from bocl.parser import parse_constraint
 from bocl.resolver import resolve
 
+from conftest import MODEL_PATH, OBJECTS_PATH
+from generators import gen_syntactic_constraint
 from reference_eval import reference_verdict
 
 
@@ -354,3 +362,76 @@ def test_eval_real_slot_beyond_float_range(tmp_path, model_doc, objects_doc, cap
         "Conformance: error: objects[book_obj].slots[price]: slot out of range: "
         "attribute 'price' is real, value inf is not finite\n"
     )
+
+
+# -- constraint-text fuzz --
+
+# String literals, names, numbers, two-character operators, then any other
+# single character, so that re-joining the tokens gives back equivalent text.
+_TOKEN_RE = re.compile(r"'(?:[^']|'')*'|[A-Za-z_][A-Za-z0-9_]*|[0-9.]+|->|<>|<=|>=|\S")
+_TOKEN_POOL = [
+    "(", ")", "->", ".", "|", ":", ",", "'", "--", "not", "-", "/", "and", "=", "<",
+    "if", "then", "else", "endif", "self", "inv", "context", "Book", "size", "forAll",
+    "collect", "0", "1.5", "'x'", "9223372036854775807", "1" + "0" * 400 + ".0",
+]
+
+
+# Well-typed library constraints, so that some mutants still evaluate.
+_SEED_CONSTRAINTS = [
+    "context Book inv a: self.pages > 0 and self.title <> ''",
+    "context Book inv b: if self.pages * 2 >= 10 then self.locatedIn.name = 'Children Library' "
+    "else not (self.pages / 4 < 1.5) endif",
+    "context Library inv c: self.contains->forAll(b : Book | b.writedBy->exists(a | a.email <> 'x'))",
+    "context Library inv d: "
+    "self.contains->select(b | b.pages <= 110)->collect(b | b.pages + 1)->size() > -1",
+    "context Author inv e: "
+    "self.publishes->reject(b | b.pages = 20)->isEmpty() or self.publishes->notEmpty()",
+]
+
+
+def _mutated_constraint(data):
+    """A seed or generated constraint with 1 to 3 tokens swapped or replaced."""
+    if data.draw(st.booleans()):
+        text = data.draw(st.sampled_from(_SEED_CONSTRAINTS))
+    else:
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        text = pretty_print(gen_syntactic_constraint(rng, max_depth=4))
+    tokens = _TOKEN_RE.findall(text)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(tokens) - 1))
+        if data.draw(st.booleans()):
+            j = data.draw(st.integers(0, len(tokens) - 1))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        else:
+            tokens[i] = data.draw(st.sampled_from(_TOKEN_POOL))
+    return text.split()[1], " ".join(tokens)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(data=st.data())
+def test_mutated_constraint_text_never_escapes(fuzz_dir, data):
+    context, expression = _mutated_constraint(data)
+    model_doc = json.loads(MODEL_PATH.read_text(encoding="utf-8"))
+    model_doc["constraints"].insert(
+        1, {"name": "Fuzzed", "context": context, "expression": expression}
+    )
+    model = write(fuzz_dir, "m.json", model_doc)
+    for argv in (
+        ["check", model],
+        ["eval", model, str(OBJECTS_PATH)],
+        ["eval", model, str(OBJECTS_PATH), "--format", "json"],
+    ):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        # The fuzzed constraint never costs the other two their verdicts.
+        if argv[-1] == "json":
+            assert len(json.loads(out.getvalue())["results"]) == 3
+        elif argv[0] == "eval":
+            assert len(out.getvalue().splitlines()) == 3

@@ -128,6 +128,34 @@ def test_validation_diagnostics_carried(tmp_path, model_doc):
     assert any("duplicate class name" in d.message for d in exc.value.diagnostics)
 
 
+def test_duplicate_class_name_is_the_only_error(tmp_path, model_doc):
+    # Ends and contexts naming "Library" resolve to its first class, the
+    # one the model indexes, so they add no error of their own.
+    model_doc["classes"].append({"name": "Library", "attributes": []})
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(model_doc))
+    with pytest.raises(IoError) as exc:
+        load_structural(path)
+    assert [str(d) for d in exc.value.diagnostics] == [
+        "error: classes[Library]: duplicate class name 'Library'"
+    ]
+
+
+def test_duplicate_object_name_is_the_only_error(tmp_path, objects_doc, library_model):
+    # Links naming "library_obj" wire to its first object, the one the
+    # object model indexes, so they add no error of their own.
+    objects_doc["objects"].append(
+        {"name": "library_obj", "class": "Library", "slots": {"name": "Other"}}
+    )
+    path = tmp_path / "o.json"
+    path.write_text(json.dumps(objects_doc))
+    with pytest.raises(IoError) as exc:
+        load_objects(path, library_model)
+    assert [str(d) for d in exc.value.diagnostics] == [
+        "error: objects[library_obj]: duplicate object name 'library_obj'"
+    ]
+
+
 def test_unknown_object_class(tmp_path, objects_doc, library_model):
     objects_doc["objects"][0]["class"] = "Magazine"
     path = tmp_path / "o.json"
