@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 from decimal import Decimal
 from enum import Enum
+
+from .model import INT64_MAX, INT64_MIN
+
+# The deepest tree the parser and the JSON decoder build. Every recursive
+# walker takes at most five Python frames per level, which leaves over 200
+# of the default recursion limit's 1000 frames to the caller.
+MAX_DEPTH = 150
 
 
 class Stereotype(Enum):
@@ -333,10 +341,21 @@ def _decode_leaf(doc: dict, key: str, type_) -> object:
     if isinstance(value, bool) and type_ is not bool:
         noun = "a number" if type_ is float else "an integer"
         raise ValueError(f"{doc['kind']} {key} must be {noun}")
+    # The parser's literal rules; json.loads reads 1e400 as inf.
+    if type_ is int and not INT64_MIN <= value <= INT64_MAX:
+        raise ValueError("integer literal out of 64-bit range")
+    if type_ is float and not abs(value) <= sys.float_info.max:
+        raise ValueError("real literal out of range")
     return float(value) if type_ is float else value
 
 
 def expr_from_json(doc: dict) -> Expr:
+    return _expr_from_json(doc, 0)
+
+
+def _expr_from_json(doc: dict, level: int) -> Expr:
+    if level > MAX_DEPTH:
+        raise ValueError("expression nests too deeply")
     kind = _expect(doc, "kind", str)
     if kind not in _DECODERS:
         raise ValueError(f"unknown node kind {kind!r}")
@@ -344,7 +363,7 @@ def expr_from_json(doc: dict) -> Expr:
     args = []
     for key, _, type_ in spec:
         if type_ is Expr:
-            args.append(expr_from_json(_expect(doc, key, dict)))
+            args.append(_expr_from_json(_expect(doc, key, dict), level + 1))
         else:
             args.append(_decode_leaf(doc, key, type_))
     return cls(*args)

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from .ast import ast_to_json
-from .evaluator import TOO_DEEP_MESSAGE, VerdictKind, evaluate_all
+from .evaluator import VerdictKind, evaluate_all
 from .lexer import ParseError
 from .model_io import IoError, ReportFormat, load_objects, load_structural, write_report
 from .parser import parse_constraint
@@ -41,10 +41,6 @@ def cmd_check(model_path: str, emit_ast_dir: str | None = None) -> int:
         except ResolutionFailure as failure:
             for err in failure.errors:
                 print(f"{con.name}: {err}", file=sys.stderr)
-            ok = False
-            continue
-        except RecursionError:
-            print(f"{con.name}: {TOO_DEEP_MESSAGE}", file=sys.stderr)
             ok = False
             continue
         print(f"{con.name}: OK")

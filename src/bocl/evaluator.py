@@ -54,11 +54,6 @@ class NavigationEmptyError(EvalError):
     pass
 
 
-# The Error message of a constraint too deeply nested to parse, resolve or
-# evaluate within Python's recursion limit.
-TOO_DEEP_MESSAGE = "expression nests too deeply"
-
-
 # ---------- Verdicts ----------
 
 class VerdictKind(Enum):
@@ -255,10 +250,9 @@ def evaluate_constraint(
 ) -> ConstraintVerdict:
     """Evaluate the body once per context-class instance and conjoin.
 
-    Zero instances yield True vacuously. The first runtime error, an
-    Integer too large to convert to Real, or a body nested too deeply to
-    evaluate turns the verdict into Error, keeping the per-instance results
-    gathered so far.
+    Zero instances yield True vacuously. The first runtime error or an
+    Integer too large to convert to Real turns the verdict into Error,
+    keeping the per-instance results gathered so far.
     """
     if name is None:
         name = typed.ast.constraint_name or typed.ast.context_class_name
@@ -266,9 +260,8 @@ def evaluate_constraint(
     for instance in instances_of(objects, typed.context_class):
         try:
             holds = evaluate_expr(typed.body, {"self": instance}, objects, typed.model)
-        except (EvalError, OverflowError, RecursionError) as error:
-            message = TOO_DEEP_MESSAGE if isinstance(error, RecursionError) else str(error)
-            return ConstraintVerdict(name, VerdictKind.ERROR, tuple(per_instance), message)
+        except (EvalError, OverflowError) as error:
+            return ConstraintVerdict(name, VerdictKind.ERROR, tuple(per_instance), str(error))
         per_instance.append((instance.name, holds))
     ok = all(holds for _, holds in per_instance)
     return ConstraintVerdict(
@@ -286,9 +279,8 @@ def evaluate_all(model: StructuralModel, objects: ObjectModel) -> EvaluationRepo
     for con in model.constraints:
         try:
             typed = resolve(parse_constraint(con.expression), model)
-        except (ParseError, ResolutionFailure, RecursionError) as error:
-            message = TOO_DEEP_MESSAGE if isinstance(error, RecursionError) else str(error)
-            verdict = ConstraintVerdict(con.name, VerdictKind.ERROR, error_message=message)
+        except (ParseError, ResolutionFailure) as error:
+            verdict = ConstraintVerdict(con.name, VerdictKind.ERROR, error_message=str(error))
         else:
             verdict = evaluate_constraint(typed, objects, name=con.name)
         if verdict.overall is VerdictKind.ERROR:

@@ -7,6 +7,11 @@ precedence climbing. Comparisons are non-associative, the other binary
 levels associate left. Postfix covers '.' property access and '->'
 collection operations; if/then/else/endif is self-delimiting and parses
 as a primary.
+
+Each parse function takes the level its expression starts at, and the
+stream keeps the deepest level reached. A parenthesis, unary operator,
+if, iterator body or binary operand is one level down, as is each link
+of a binary, '.' or '->' chain, so no tree is deeper than its count.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import math
 from .ast import (
     BINARY_PREC,
     COMPARISON_OPERATORS,
+    MAX_DEPTH,
     BooleanLiteralExp,
     CollectionOp,
     CollectionOpExp,
@@ -52,6 +58,7 @@ class _TokenStream:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.deepest = 0  # the deepest level reached; see _parse_expr
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -105,7 +112,7 @@ def parse_constraint(source: str) -> ConstraintAst:
     name_token = stream.match(TokenKind.IDENT)
     name = name_token.text if name_token else None
     stream.expect(TokenKind.SYMBOL, ":", "':'")
-    body = _parse_expr(stream)
+    body = _parse_expr(stream, 0)
     stream.expect(TokenKind.EOF, None, "end of input")
     return ConstraintAst(context, Stereotype.INV, name, body)
 
@@ -113,7 +120,7 @@ def parse_constraint(source: str) -> ConstraintAst:
 def parse_expression(source: str) -> Expr:
     """Parse a bare expression (no context header)."""
     stream = _TokenStream(tokenize(source))
-    expr = _parse_expr(stream)
+    expr = _parse_expr(stream, 0)
     stream.expect(TokenKind.EOF, None, "end of input")
     return expr
 
@@ -124,15 +131,26 @@ def _infix_operator(token: Token) -> InfixOperator | None:
     return None
 
 
-def _parse_expr(s: _TokenStream, min_prec: int = 1) -> Expr:
+def _deeper(s: _TokenStream, level: int, token: Token) -> int:
+    """The level below level, recorded as reached; past MAX_DEPTH, token is a syntax error."""
+    if level >= MAX_DEPTH:
+        raise ParseError("expression nests too deeply", token.line, token.col)
+    s.deepest = max(s.deepest, level + 1)
+    return level + 1
+
+
+def _parse_expr(s: _TokenStream, level: int, min_prec: int = 1) -> Expr:
     """Precedence climbing over the printer's BINARY_PREC table."""
-    left = _parse_unary(s)
+    # s.deepest covers only this expression until it returns.
+    outer, s.deepest = s.deepest, level
+    left = _parse_unary(s, level)
     while True:
         op = _infix_operator(s.peek())
         if op is None or BINARY_PREC[op] < min_prec:
+            s.deepest = max(outer, s.deepest)
             return left
-        s.take()
-        left = OperationCallExp(op, left, _parse_expr(s, BINARY_PREC[op] + 1))
+        _deeper(s, s.deepest, s.take())
+        left = OperationCallExp(op, left, _parse_expr(s, level + 1, BINARY_PREC[op] + 1))
         if op in COMPARISON_OPERATORS:
             follow = s.peek()
             if _infix_operator(follow) in COMPARISON_OPERATORS:
@@ -143,27 +161,27 @@ def _parse_expr(s: _TokenStream, min_prec: int = 1) -> Expr:
                 )
 
 
-def _parse_unary(s: _TokenStream) -> Expr:
-    if s.match(TokenKind.KEYWORD, "not"):
-        return UnaryExp(UnaryOperator.NOT, _parse_unary(s))
-    if s.match(TokenKind.SYMBOL, "-"):
-        return UnaryExp(UnaryOperator.NEG, _parse_unary(s))
-    return _parse_postfix(s)
+def _parse_unary(s: _TokenStream, level: int) -> Expr:
+    token = s.match(TokenKind.KEYWORD, "not") or s.match(TokenKind.SYMBOL, "-")
+    if token is not None:
+        return UnaryExp(UnaryOperator(token.text), _parse_unary(s, _deeper(s, level, token)))
+    return _parse_postfix(s, level)
 
 
-def _parse_postfix(s: _TokenStream) -> Expr:
-    expr = _parse_primary(s)
+def _parse_postfix(s: _TokenStream, level: int) -> Expr:
+    expr = _parse_primary(s, level)
     while True:
-        if s.match(TokenKind.SYMBOL, "."):
-            name = s.expect(TokenKind.IDENT, None, "property name").text
-            expr = PropertyExp(expr, name)
-        elif s.match(TokenKind.SYMBOL, "->"):
-            expr = _parse_collection_call(s, expr)
-        else:
+        token = s.match(TokenKind.SYMBOL, ".") or s.match(TokenKind.SYMBOL, "->")
+        if token is None:
             return expr
+        _deeper(s, s.deepest, token)
+        if token.text == ".":
+            expr = PropertyExp(expr, s.expect(TokenKind.IDENT, None, "property name").text)
+        else:
+            expr = _parse_collection_call(s, expr, level + 1)
 
 
-def _parse_collection_call(s: _TokenStream, source: Expr) -> Expr:
+def _parse_collection_call(s: _TokenStream, source: Expr, level: int) -> Expr:
     token = s.expect(TokenKind.IDENT, None, "collection operation name")
     name = token.text
     if name in _COLLECTION_OPS:
@@ -177,7 +195,7 @@ def _parse_collection_call(s: _TokenStream, source: Expr) -> Expr:
         if s.match(TokenKind.SYMBOL, ":"):
             var_type = s.expect(TokenKind.IDENT, None, "iterator variable type").text
         s.expect(TokenKind.SYMBOL, "|", "'|'")
-        body = _parse_expr(s)
+        body = _parse_expr(s, level)
         s.expect(TokenKind.SYMBOL, ")", "')'")
         return IteratorExp(source, _ITERATOR_KINDS[name], var, var_type, body)
     known = sorted(_COLLECTION_OPS) + sorted(_ITERATOR_KINDS)
@@ -189,7 +207,7 @@ def _parse_collection_call(s: _TokenStream, source: Expr) -> Expr:
     )
 
 
-def _parse_primary(s: _TokenStream) -> Expr:
+def _parse_primary(s: _TokenStream, level: int) -> Expr:
     token = s.take()
     if token.kind is TokenKind.KEYWORD:
         if token.text == "self":
@@ -197,11 +215,12 @@ def _parse_primary(s: _TokenStream) -> Expr:
         if token.text in ("true", "false"):
             return BooleanLiteralExp(token.text == "true")
         if token.text == "if":
-            condition = _parse_expr(s)
+            level = _deeper(s, level, token)
+            condition = _parse_expr(s, level)
             s.expect(TokenKind.KEYWORD, "then", "'then'")
-            then_branch = _parse_expr(s)
+            then_branch = _parse_expr(s, level)
             s.expect(TokenKind.KEYWORD, "else", "'else'")
-            else_branch = _parse_expr(s)
+            else_branch = _parse_expr(s, level)
             s.expect(TokenKind.KEYWORD, "endif", "'endif'")
             return IfExp(condition, then_branch, else_branch)
     elif token.kind is TokenKind.INT:
@@ -222,7 +241,7 @@ def _parse_primary(s: _TokenStream) -> Expr:
     elif token.kind is TokenKind.IDENT:
         return VariableExp(token.text)
     elif token.kind is TokenKind.SYMBOL and token.text == "(":
-        expr = _parse_expr(s)
+        expr = _parse_expr(s, _deeper(s, level, token))
         s.expect(TokenKind.SYMBOL, ")", "')'")
         return expr
     raise ParseError(

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import bocl
 
-from bocl.ast import ast_from_json, pretty_print
+from bocl.ast import MAX_DEPTH, ast_from_json, pretty_print
 from bocl.cli import main
 from bocl.evaluator import evaluate_constraint
 from bocl.model_io import load_objects, load_structural
@@ -254,10 +255,17 @@ def test_eval_collect_of_mixed_int_and_real(tmp_path, model_doc, objects_doc, ca
     assert mine.per_instance == ref.per_instance
 
 
-# Too deep for the recursive parser and resolver, respectively.
+# Deeper than MAX_DEPTH, each with the column of the token that crosses
+# it. Without the limit, each would exhaust the stack of a different
+# walker: the parser, the resolver and the evaluator.
 DEEP_CONSTRAINTS = {
-    "parens": "context Book inv deep: " + "(" * 1000 + "true" + ")" * 1000,
-    "and_chain": "context Book inv deep: " + " and ".join(["true"] * 500),
+    "parens": ("context Book inv deep: " + "(" * 1000 + "true" + ")" * 1000, 174),
+    "and_chain": ("context Book inv deep: " + " and ".join(["true"] * 500), 1379),
+    "forAll": (
+        "context Book inv deep: "
+        + "self.locatedIn.contains->forAll(b | " * 220 + "true" + ")" * 220,
+        5375,
+    ),
 }
 
 
@@ -280,28 +288,120 @@ def _with_deep_constraint(model_doc, expression):
 
 @pytest.mark.parametrize("kind", sorted(DEEP_CONSTRAINTS))
 def test_check_deep_constraint_is_one_diagnostic(tmp_path, model_doc, capsys, kind):
-    path = write(tmp_path, "m.json", _with_deep_constraint(model_doc, DEEP_CONSTRAINTS[kind]))
+    expression, col = DEEP_CONSTRAINTS[kind]
+    path = write(tmp_path, "m.json", _with_deep_constraint(model_doc, expression))
     code = main(["check", path])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out.splitlines() == ["BookPageNumber: OK", "LibaryCollect: OK"]
-    assert captured.err == "Deep: expression nests too deeply\n"
+    assert captured.err == f"Deep: syntax error: 1:{col}: expression nests too deeply\n"
 
 
 @pytest.mark.parametrize("kind", sorted(DEEP_CONSTRAINTS))
 def test_eval_deep_constraint_is_one_error(tmp_path, model_doc, objects_path, capsys, kind):
-    expression = DEEP_CONSTRAINTS[kind]
+    expression, col = DEEP_CONSTRAINTS[kind]
     path = write(tmp_path, "m.json", _with_deep_constraint(model_doc, expression))
     code = main(["eval", path, str(objects_path)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out.splitlines() == [
         "Invariant:context Book inv pageNumberInv: self.pages>0:True",
-        f"Invariant:{expression}:Error(Exception Occured! Info: expression nests too deeply)",
+        f"Invariant:{expression}:Error(Exception Occured! Info: 1:{col}: "
+        "expression nests too deeply)",
         "Invariant:context Library inv atLeastOneSmallBook: "
         "self.contains->select(i_book : Book | i_book.pages <= 110)->size()>0:True",
     ]
     assert "Traceback" not in captured.err
+
+
+# The seven shapes of deep input, each a function of its level count as
+# the parser counts it (see bocl.parser), all for context Book.
+def _right_nested(levels):
+    half, odd = divmod(levels - 1, 2)
+    return "0 < " + "1 + (" * half + ("(1)" if odd else "1") + ")" * half
+
+
+DEPTH_SHAPES = {
+    "parens": lambda n: "(" * n + "true" + ")" * n,
+    "if": lambda n: "if true then " * n + "true" + " else false endif" * n,
+    "right_nested": _right_nested,
+    "forAll": lambda n: "self.locatedIn.contains->forAll(b | " * (n - 2) + "true" + ")" * (n - 2),
+    "and_chain": lambda n: " and ".join(["true"] * (n + 1)),
+    "not_chain": lambda n: "not " * n + "true",
+    "select_chain": lambda n: (
+        "self.locatedIn.contains" + "->select(b | true)" * (n - 3) + "->notEmpty()"
+    ),
+}
+
+# For each model: check with --emit-ast, eval, and, if Deep was emitted,
+# whether decoding it, parsing its text and parsing its pretty_print all
+# give one tree. All of it runs 100 frames down under the default
+# recursion limit; the results are printed as JSON.
+_AT_DEPTH = """
+import contextlib, io, json, sys
+from pathlib import Path
+from bocl.ast import ast_from_json, pretty_print
+from bocl.cli import main
+from bocl.parser import parse_constraint
+
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return [code, out.getvalue(), err.getvalue()]
+
+def pipeline(objects, model):
+    ast_dir = Path(model + ".ast")
+    result = {"check": run("check", model, "--emit-ast", str(ast_dir)),
+              "eval": run("eval", model, objects)}
+    if (ast_dir / "Deep.json").exists():
+        ast = ast_from_json(json.loads((ast_dir / "Deep.json").read_text()))
+        text = json.loads(Path(model).read_text())["constraints"][1]["expression"]
+        result["round_trip"] = ast == parse_constraint(text) == parse_constraint(pretty_print(ast))
+    return result
+
+def down(frames):
+    return down(frames - 1) if frames else [pipeline(sys.argv[1], m) for m in sys.argv[2:]]
+
+assert sys.getrecursionlimit() == 1000
+print(json.dumps(down(100)))
+"""
+
+
+@pytest.mark.parametrize("shape", sorted(DEPTH_SHAPES))
+def test_every_shape_nests_to_max_depth(tmp_path, model_doc, objects_path, shape):
+    texts = [
+        "context Book inv deep: " + DEPTH_SHAPES[shape](depth)
+        for depth in (MAX_DEPTH, MAX_DEPTH + 1)
+    ]
+    models = [
+        write(tmp_path, f"m{k}.json", _with_deep_constraint(copy.deepcopy(model_doc), text))
+        for k, text in enumerate(texts)
+    ]
+    src = str(Path(bocl.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _AT_DEPTH, str(objects_path), *models],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.stderr == ""
+    at_max, past_max = json.loads(proc.stdout)
+
+    assert at_max["check"] == [0, "BookPageNumber: OK\nDeep: OK\nLibaryCollect: OK\n", ""]
+    code, out, err = at_max["eval"]
+    assert (code, out.splitlines()[1], err) == (0, f"Invariant:{texts[0]}:True", "")
+    assert at_max["round_trip"] is True
+
+    code, out, err = past_max["check"]
+    assert (code, out) == (2, "BookPageNumber: OK\nLibaryCollect: OK\n")
+    position = re.fullmatch(r"Deep: syntax error: (1:\d+): expression nests too deeply\n", err)
+    assert position is not None
+    code, out, err = past_max["eval"]
+    assert (code, out.splitlines()[1], err) == (2, (
+        f"Invariant:{texts[1]}:Error(Exception Occured! Info: "
+        f"{position[1]}: expression nests too deeply)"
+    ), "")
+    assert "round_trip" not in past_max
 
 
 # Bytes that json.loads cannot turn into a document without a traceback.

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from bocl.ast import (
-    BooleanLiteralExp,
     CollectionOp,
     CollectionOpExp,
     ConstraintAst,
@@ -19,7 +18,6 @@ from bocl.ast import (
     UnaryOperator,
 )
 from bocl.evaluator import (
-    TOO_DEEP_MESSAGE,
     DivisionByZeroError,
     VerdictKind,
     evaluate_all,
@@ -35,7 +33,7 @@ from bocl.model import (
 )
 from bocl.model_io import report_to_document
 from bocl.parser import parse_constraint
-from bocl.resolver import BOOL_T, TypedConstraint, TypedExpr, resolve
+from bocl.resolver import resolve
 
 from conftest import build_library_objects
 from generators import (
@@ -267,20 +265,6 @@ def test_iterator_restores_scope(built_model, built_objects):
     typed = resolve(parse_constraint(empty), built_model)
     assert evaluate_expr(typed.body, scope, built_objects, built_model) is False
     assert scope == {"self": library_obj}
-
-
-def test_too_deep_evaluation_is_error(built_model, built_objects):
-    # Built by hand: no parser or resolver would accept a tree this deep.
-    body = TypedExpr(BooleanLiteralExp(True), BOOL_T)
-    for _ in range(5000):
-        body = TypedExpr(UnaryExp(UnaryOperator.NOT, BooleanLiteralExp(True)), BOOL_T, (body,))
-    ast = parse_constraint("context Book inv deep: true")
-    typed = TypedConstraint(ast, built_model.class_named("Book"), body, built_model)
-    verdict = evaluate_constraint(typed, built_objects)
-    assert verdict.overall is VerdictKind.ERROR
-    assert verdict.error_message == TOO_DEEP_MESSAGE
-    fine = run(built_model, built_objects, "context Book inv v: self.pages > 0")
-    assert fine.overall is VerdictKind.TRUE
 
 
 # -- whole-model evaluation --

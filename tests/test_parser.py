@@ -3,6 +3,7 @@ import random
 import pytest
 
 from bocl.ast import (
+    MAX_DEPTH,
     BooleanLiteralExp,
     CollectionOp,
     CollectionOpExp,
@@ -215,6 +216,26 @@ def test_real_literal_out_of_range():
     with pytest.raises(ParseError, match="real literal out of range") as exc:
         parse_expression("self.pages < 1" + "0" * 400 + ".0")
     assert (exc.value.line, exc.value.col) == (1, 14)
+
+
+# A chain's links push its first operand one level down each, so the
+# first operand's own depth counts toward the chain's: each of these
+# nests 100 levels in its first operand and the rest in its links.
+_FIRST_OPERAND_THEN_CHAIN = {
+    "not-then-and": lambda n: "not " * 100 + "true" + " and true" * (n - 100),
+    "if-then-dots": lambda n: (
+        "if true then " * 100 + "self" + " else self endif" * 100 + ".x" * (n - 100)
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FIRST_OPERAND_THEN_CHAIN))
+def test_chain_links_count_below_first_operand(kind):
+    build = _FIRST_OPERAND_THEN_CHAIN[kind]
+    parse_expression(build(MAX_DEPTH))
+    with pytest.raises(ParseError) as exc:
+        parse_expression(build(MAX_DEPTH + 1))
+    assert exc.value.message == "expression nests too deeply"
 
 
 def test_missing_context_keyword():
