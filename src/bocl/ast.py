@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, fields
 from decimal import Decimal
@@ -346,6 +347,9 @@ def _decode_leaf(doc: dict, key: str, type_) -> object:
         raise ValueError("integer literal out of 64-bit range")
     if type_ is float and not abs(value) <= sys.float_info.max:
         raise ValueError("real literal out of range")
+    # The parser reads a minus sign as a Unary node, never into a literal.
+    if type_ in (int, float) and math.copysign(1, value) < 0:
+        raise ValueError(f"{doc['kind']} {key} must not be negative")
     return float(value) if type_ is float else value
 
 

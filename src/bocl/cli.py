@@ -9,11 +9,10 @@ import sys
 from pathlib import Path
 
 from .ast import ast_to_json
-from .evaluator import VerdictKind, evaluate_all
+from .evaluator import VerdictKind, compile_model, evaluate_all
 from .lexer import ParseError
 from .model_io import IoError, ReportFormat, load_objects, load_structural, write_report
-from .parser import parse_constraint
-from .resolver import ResolutionFailure, resolve
+from .resolver import ResolutionFailure
 
 
 def cmd_check(model_path: str, emit_ast_dir: str | None = None) -> int:
@@ -30,23 +29,19 @@ def cmd_check(model_path: str, emit_ast_dir: str | None = None) -> int:
         emit_dir.mkdir(parents=True, exist_ok=True)
 
     ok = True
-    for con in model.constraints:
-        try:
-            ast = parse_constraint(con.expression)
-            resolve(ast, model)
-        except ParseError as error:
-            print(f"{con.name}: syntax error: {error}", file=sys.stderr)
-            ok = False
-            continue
-        except ResolutionFailure as failure:
-            for err in failure.errors:
+    for con, typed in compile_model(model):
+        if isinstance(typed, ParseError):
+            print(f"{con.name}: syntax error: {typed}", file=sys.stderr)
+        elif isinstance(typed, ResolutionFailure):
+            for err in typed.errors:
                 print(f"{con.name}: {err}", file=sys.stderr)
-            ok = False
+        else:
+            print(f"{con.name}: OK")
+            if emit_dir is not None:
+                text = json.dumps(ast_to_json(typed.ast), indent=2) + "\n"
+                (emit_dir / f"{con.name}.json").write_text(text, encoding="utf-8")
             continue
-        print(f"{con.name}: OK")
-        if emit_dir is not None:
-            path = emit_dir / f"{con.name}.json"
-            path.write_text(json.dumps(ast_to_json(ast), indent=2) + "\n", encoding="utf-8")
+        ok = False
     return 0 if ok else 2
 
 

@@ -489,6 +489,26 @@ def write_report(report: EvaluationReport, format: ReportFormat, sink: IO[str]) 
     if format is ReportFormat.TEXT:
         for result in report.results:
             sink.write(f"Invariant:{result.expression}:{_verdict_text(result.verdict)}\n")
-    else:
-        json.dump(report_to_document(report), sink, indent=2)
-        sink.write("\n")
+        return
+    # json.dump(report_to_document(report), sink, indent=2) runs the
+    # pure-Python encoder; this writes the same bytes, a result at a time.
+    string = json.encoder.encode_basestring_ascii
+    sink.write('{\n  "results": [')
+    for index, result in enumerate(report.results):
+        verdict = result.verdict
+        rows = ",".join([
+            f'\n        {{\n          "object": {string(obj)},\n          "holds": '
+            f'{"true" if holds else "false"}\n        }}'
+            for obj, holds in verdict.per_instance
+        ])
+        error = ""
+        if verdict.overall is VerdictKind.ERROR:
+            error = f',\n      "error": {json.dumps(verdict.error_message)}'
+        rows = f"[{rows}\n      ]" if rows else "[]"
+        sink.write(
+            f'{"," if index else ""}\n    {{\n      "name": {string(verdict.constraint_name)},'
+            f'\n      "expression": {string(result.expression)},'
+            f'\n      "overall": {string(verdict.overall.value)},'
+            f'\n      "perInstance": {rows}{error}\n    }}'
+        )
+    sink.write("\n  ]\n}\n" if report.results else "]\n}\n")

@@ -222,6 +222,16 @@ _REJECTIONS = [
      ValueError, "real literal out of range"),
     ("real-nan", expr_from_json, {"kind": "RealLiteral", "value": math.nan},
      ValueError, "real literal out of range"),
+    ("integer-negative", expr_from_json, {"kind": "IntegerLiteral", "value": -5},
+     ValueError, "IntegerLiteral value must not be negative"),
+    ("integer-most-negative", expr_from_json, {"kind": "IntegerLiteral", "value": -2**63},
+     ValueError, "IntegerLiteral value must not be negative"),
+    ("real-negative", expr_from_json, {"kind": "RealLiteral", "value": -0.5},
+     ValueError, "RealLiteral value must not be negative"),
+    ("real-negative-zero", expr_from_json, {"kind": "RealLiteral", "value": -0.0},
+     ValueError, "RealLiteral value must not be negative"),
+    ("real-negative-integer", expr_from_json, {"kind": "RealLiteral", "value": -3},
+     ValueError, "RealLiteral value must not be negative"),
     ("unknown-kind", expr_from_json, {"kind": "Lambda"},
      ValueError, "unknown node kind 'Lambda'"),
     ("wrong-schema-version", ast_from_json, _document(schemaVersion="bocl-ast/99"),

@@ -20,10 +20,12 @@ from bocl.ast import (
 from bocl.evaluator import (
     DivisionByZeroError,
     VerdictKind,
+    compile_model,
     evaluate_all,
     evaluate_constraint,
     evaluate_expr,
 )
+from bocl.lexer import ParseError
 from bocl.model import (
     ConstraintDef,
     ObjectInstance,
@@ -33,7 +35,7 @@ from bocl.model import (
 )
 from bocl.model_io import report_to_document
 from bocl.parser import parse_constraint
-from bocl.resolver import resolve
+from bocl.resolver import ResolutionFailure, TypedConstraint, resolve
 
 from conftest import build_library_objects
 from generators import (
@@ -296,6 +298,23 @@ def test_evaluate_all_isolates_failures(built_model, built_objects):
     assert report.results[1].verdict.overall is VerdictKind.TRUE
 
 
+def test_compile_model_yields_each_constraint_in_order(built_model):
+    book = built_model.class_named("Book")
+    constraints = (
+        ConstraintDef("broken", book, "context Book inv b: self.pages >"),
+        ConstraintDef("fine", book, "context Book inv f: self.pages > 0"),
+        ConstraintDef("typo", book, "context Book inv t: self.pagecount > 0"),
+    )
+    model = StructuralModel(
+        built_model.name, built_model.classes, built_model.associations, constraints
+    )
+    compiled = list(compile_model(model))
+    assert [con for con, _ in compiled] == list(constraints)
+    kinds = [type(typed) for _, typed in compiled]
+    assert kinds == [ParseError, TypedConstraint, ResolutionFailure]
+    assert compiled[1][1] == resolve(parse_constraint(constraints[1].expression), model)
+
+
 def test_evaluate_all_empty_constraint_list(built_model, built_objects):
     model = StructuralModel(
         built_model.name, built_model.classes, built_model.associations, ()
@@ -413,3 +432,4 @@ def test_matches_reference_evaluator_sample():
         ref = reference_verdict(ast, model, objects)
         assert mine.overall.value == ref.overall, (ast, objects)
         assert mine.per_instance == ref.per_instance
+        assert all(type(holds) is bool for _, holds in mine.per_instance)

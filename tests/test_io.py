@@ -23,6 +23,7 @@ from bocl.model_io import (
     load_objects,
     load_structural,
     objects_from_document,
+    report_to_document,
     save_objects,
     save_structural,
     structural_from_document,
@@ -427,7 +428,33 @@ def test_text_report_shape(library_model, library_objects):
 def test_empty_json_report():
     sink = io.StringIO()
     write_report(EvaluationReport(()), ReportFormat.JSON, sink)
-    assert json.loads(sink.getvalue()) == {"results": []}
+    assert sink.getvalue() == '{\n  "results": []\n}\n'
+
+
+# Names and texts with non-ASCII, quote, backslash and control characters.
+_report_text = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028é😀 '), st.characters()), max_size=12
+)
+
+
+@st.composite
+def _reports(draw):
+    results = []
+    for _ in range(draw(st.integers(0, 4))):
+        overall = draw(st.sampled_from(VerdictKind))
+        per_instance = tuple(draw(st.lists(st.tuples(_report_text, st.booleans()), max_size=4)))
+        message = draw(_report_text) if overall is VerdictKind.ERROR else None
+        verdict = ConstraintVerdict(draw(_report_text), overall, per_instance, message)
+        results.append(ConstraintResult(draw(_report_text), verdict))
+    return EvaluationReport(tuple(results))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(report=_reports())
+def test_json_report_is_json_dumps_byte_for_byte(report):
+    sink = io.StringIO()
+    write_report(report, ReportFormat.JSON, sink)
+    assert sink.getvalue() == json.dumps(report_to_document(report), indent=2) + "\n"
 
 
 def test_error_verdict_renders_on_its_own_line():
