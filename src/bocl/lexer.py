@@ -45,7 +45,11 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-_GROUP_KINDS = {"real": TokenKind.REAL, "int": TokenKind.INT, "symbol": TokenKind.SYMBOL}
+# Scanner tag -> token kind; a tag not listed is a symbol's text.
+_TAG_KINDS = dict.fromkeys(KEYWORDS, TokenKind.KEYWORD) | {
+    "ident": TokenKind.IDENT, "int": TokenKind.INT, "real": TokenKind.REAL,
+    "string": TokenKind.STRING, "eof": TokenKind.EOF,
+}
 
 
 @dataclass(frozen=True)
@@ -72,39 +76,58 @@ class ParseError(Exception):
         self.expected = tuple(expected)
 
 
-def tokenize(source: str) -> list[Token]:
-    """Split source into tokens, ending with an EOF token.
+def position(source: str, offset: int) -> tuple[int, int]:
+    """The line and column of a character offset; called only to raise ParseError."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
-    Whitespace and -- line comments are skipped. Keywords are matched
-    case-insensitively and normalized to lowercase; string tokens carry
-    the decoded content ('' inside a literal is a single quote). Columns
-    count characters from the last newline, starting at 1.
+
+def describe(tag: str, text: str) -> str:
+    """How an error message names a scanned token."""
+    return Token(_TAG_KINDS.get(tag, TokenKind.SYMBOL), text, 0, 0).describe()
+
+
+def scan(source: str) -> list[tuple[str, str, int]]:
+    """Split source into (tag, text, offset) entries, ending with ("eof", "", len(source)).
+
+    A keyword's or symbol's tag is its text; any other token's tag is its
+    group: "ident", "int", "real" or "string". Whitespace and -- line
+    comments are skipped. Keywords are matched case-insensitively and
+    normalized to lowercase; a string's text is its decoded content (''
+    inside a literal is a single quote).
     """
-    tokens: list[Token] = []
-    line = 1
-    line_start = 0
+    entries: list[tuple[str, str, int]] = []
     for match in _TOKEN_RE.finditer(source):
-        group = match.lastgroup
+        tag = match.lastgroup
+        if tag == "space":
+            continue
         text = match.group()
-        if group != "space":
-            col = match.start() - line_start + 1
-            if group == "word":
-                word = text.lower()
-                if word in KEYWORDS:
-                    tokens.append(Token(TokenKind.KEYWORD, word, line, col))
-                else:
-                    tokens.append(Token(TokenKind.IDENT, text, line, col))
-            elif group == "string":
-                tokens.append(Token(TokenKind.STRING, text[1:-1].replace("''", "'"), line, col))
-            elif group == "bad":
-                if text == "'":
-                    raise ParseError("unterminated string literal", line, col)
-                raise ParseError(f"illegal character {text!r}", line, col)
-            else:
-                tokens.append(Token(_GROUP_KINDS[group], text, line, col))
-        # Only whitespace and string literals can span lines.
-        if "\n" in text:
-            line += text.count("\n")
-            line_start = match.start() + text.rindex("\n") + 1
-    tokens.append(Token(TokenKind.EOF, "", line, len(source) - line_start + 1))
+        if tag == "word":
+            word = text.lower()
+            tag, text = (word, word) if word in KEYWORDS else ("ident", text)
+        elif tag == "symbol":
+            tag = text
+        elif tag == "string":
+            text = text[1:-1].replace("''", "'")
+        elif tag == "bad":
+            message = "unterminated string literal" if text == "'" else f"illegal character {text!r}"
+            raise ParseError(message, *position(source, match.start()))
+        entries.append((tag, text, match.start()))
+    entries.append(("eof", "", len(source)))
+    return entries
+
+
+def tokenize(source: str) -> list[Token]:
+    """Split source into tokens, ending with an EOF token: scan()'s entries
+    with a kind, and a 1-based line and column (characters since the last
+    newline) in place of the offset."""
+    tokens: list[Token] = []
+    line, line_start, last = 1, 0, 0
+    for tag, text, offset in scan(source):
+        newlines = source.count("\n", last, offset)
+        if newlines:
+            line += newlines
+            line_start = source.rindex("\n", last, offset) + 1
+        last = offset
+        kind = _TAG_KINDS.get(tag, TokenKind.SYMBOL)
+        tokens.append(Token(kind, text, line, offset - line_start + 1))
     return tokens

@@ -7,6 +7,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 
 IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -142,9 +143,9 @@ class StructuralModel:
 
     def navigable_ends(
         self, cls: ClassDef
-    ) -> dict[str, tuple[BinaryAssociation, AssociationEnd]]:
-        """Role name -> (association, far end) for every end reachable from cls."""
-        return dict(self._roles.get(cls.name, {}))
+    ) -> MappingProxyType[str, tuple[BinaryAssociation, AssociationEnd]]:
+        """Role name -> (association, far end) for every end reachable from cls; read-only."""
+        return MappingProxyType(self._roles.get(cls.name, {}))
 
 
 # ---------- Object model ----------

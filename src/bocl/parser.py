@@ -42,10 +42,13 @@ from .ast import (
     UnaryOperator,
     VariableExp,
 )
-from .lexer import ParseError, Token, TokenKind, tokenize
+from .lexer import ParseError, describe, position, scan
 from .model import INT64_MAX
 
-_INFIX_OPERATORS = {op.value: op for op in InfixOperator}
+# Scanner tag -> (operator, BINARY_PREC level) for every binary operator.
+_INFIX = {op.value: (op, BINARY_PREC[op]) for op in InfixOperator}
+_COMPARISON_TAGS = frozenset(op.value for op in COMPARISON_OPERATORS)
+_UNARY = {op.value: op for op in UnaryOperator}
 
 _ITERATOR_KINDS = {kind.value: kind for kind in IteratorKind}
 _COLLECTION_OPS = {op.value: op for op in CollectionOp}
@@ -55,86 +58,64 @@ _UNSUPPORTED_STEREOTYPES = frozenset({"pre", "post", "derive", "init", "body", "
 
 
 class _TokenStream:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """scan()'s entries and the position of the next one; see lexer.scan."""
+
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = scan(source)
         self.pos = 0
         self.deepest = 0  # the deepest level reached; see _parse_expr
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, offset: int, expected: tuple[str, ...] = ()) -> ParseError:
+        return ParseError(message, *position(self.source, offset), expected)
 
-    def take(self) -> Token:
-        """Return the next token and move past it; EOF is never passed."""
-        token = self.tokens[self.pos]
-        if token.kind is not TokenKind.EOF:
-            self.pos += 1
-        return token
-
-    def match(self, kind: TokenKind, text: str | None = None) -> Token | None:
-        token = self.peek()
-        if token.kind is kind and (text is None or token.text == text):
-            return self.take()
-        return None
-
-    def expect(self, kind: TokenKind, text: str | None, description: str) -> Token:
-        token = self.match(kind, text)
-        if token is None:
-            found = self.peek()
-            raise ParseError(
-                f"expected {description}, found {found.describe()}",
-                found.line,
-                found.col,
-                expected=(description,),
-            )
-        return token
+    def expect(self, tag: str, description: str) -> str:
+        """The next token's text, moving past it; a syntax error unless its tag is tag."""
+        found, text, offset = self.tokens[self.pos]
+        if found != tag:
+            message = f"expected {description}, found {describe(found, text)}"
+            raise self.error(message, offset, (description,))
+        self.pos += 1
+        return text
 
 
 def parse_constraint(source: str) -> ConstraintAst:
     """Parse 'context ID inv [ID] : expr'; raises ParseError otherwise."""
-    stream = _TokenStream(tokenize(source))
-    stream.expect(TokenKind.KEYWORD, "context", "'context'")
-    context = stream.expect(TokenKind.IDENT, None, "context class name").text
+    stream = _TokenStream(source)
+    stream.expect("context", "'context'")
+    context = stream.expect("ident", "context class name")
 
-    token = stream.peek()
-    word = token.text.lower()
-    if (
-        token.kind in (TokenKind.KEYWORD, TokenKind.IDENT)
-        and word in _UNSUPPORTED_STEREOTYPES
-    ):
-        raise ParseError(
+    tag, text, offset = stream.tokens[stream.pos]
+    word = text.lower()
+    if word in _UNSUPPORTED_STEREOTYPES and tag != "string":
+        raise stream.error(
             f"unsupported stereotype '{word}': only 'inv' constraints are evaluated",
-            token.line,
-            token.col,
-            expected=("'inv'",),
+            offset,
+            ("'inv'",),
         )
-    stream.expect(TokenKind.KEYWORD, "inv", "'inv'")
+    stream.expect("inv", "'inv'")
 
-    name_token = stream.match(TokenKind.IDENT)
-    name = name_token.text if name_token else None
-    stream.expect(TokenKind.SYMBOL, ":", "':'")
+    name = None
+    if stream.tokens[stream.pos][0] == "ident":
+        name = stream.expect("ident", "constraint name")
+    stream.expect(":", "':'")
     body = _parse_expr(stream, 0)
-    stream.expect(TokenKind.EOF, None, "end of input")
+    stream.expect("eof", "end of input")
     return ConstraintAst(context, Stereotype.INV, name, body)
 
 
 def parse_expression(source: str) -> Expr:
     """Parse a bare expression (no context header)."""
-    stream = _TokenStream(tokenize(source))
+    stream = _TokenStream(source)
     expr = _parse_expr(stream, 0)
-    stream.expect(TokenKind.EOF, None, "end of input")
+    stream.expect("eof", "end of input")
     return expr
 
 
-def _infix_operator(token: Token) -> InfixOperator | None:
-    if token.kind is TokenKind.SYMBOL or token.kind is TokenKind.KEYWORD:
-        return _INFIX_OPERATORS.get(token.text)
-    return None
-
-
-def _deeper(s: _TokenStream, level: int, token: Token) -> int:
-    """The level below level, recorded as reached; past MAX_DEPTH, token is a syntax error."""
+def _deeper(s: _TokenStream, level: int, offset: int) -> int:
+    """The level below level, recorded as reached; past MAX_DEPTH, a syntax error at offset."""
     if level >= MAX_DEPTH:
-        raise ParseError("expression nests too deeply", token.line, token.col)
+        raise s.error("expression nests too deeply", offset)
     s.deepest = max(s.deepest, level + 1)
     return level + 1
 
@@ -145,108 +126,103 @@ def _parse_expr(s: _TokenStream, level: int, min_prec: int = 1) -> Expr:
     outer, s.deepest = s.deepest, level
     left = _parse_unary(s, level)
     while True:
-        op = _infix_operator(s.peek())
-        if op is None or BINARY_PREC[op] < min_prec:
+        tag, _, offset = s.tokens[s.pos]
+        infix = _INFIX.get(tag)
+        if infix is None or infix[1] < min_prec:
             s.deepest = max(outer, s.deepest)
             return left
-        _deeper(s, s.deepest, s.take())
-        left = OperationCallExp(op, left, _parse_expr(s, level + 1, BINARY_PREC[op] + 1))
-        if op in COMPARISON_OPERATORS:
-            follow = s.peek()
-            if _infix_operator(follow) in COMPARISON_OPERATORS:
-                raise ParseError(
-                    "comparison operators are non-associative; use parentheses",
-                    follow.line,
-                    follow.col,
-                )
+        op, prec = infix
+        s.pos += 1
+        _deeper(s, s.deepest, offset)
+        left = OperationCallExp(op, left, _parse_expr(s, level + 1, prec + 1))
+        if tag in _COMPARISON_TAGS:
+            follow, _, offset = s.tokens[s.pos]
+            if follow in _COMPARISON_TAGS:
+                raise s.error("comparison operators are non-associative; use parentheses", offset)
 
 
 def _parse_unary(s: _TokenStream, level: int) -> Expr:
-    token = s.match(TokenKind.KEYWORD, "not") or s.match(TokenKind.SYMBOL, "-")
-    if token is not None:
-        return UnaryExp(UnaryOperator(token.text), _parse_unary(s, _deeper(s, level, token)))
+    tag, _, offset = s.tokens[s.pos]
+    op = _UNARY.get(tag)
+    if op is not None:
+        s.pos += 1
+        return UnaryExp(op, _parse_unary(s, _deeper(s, level, offset)))
     return _parse_postfix(s, level)
 
 
 def _parse_postfix(s: _TokenStream, level: int) -> Expr:
     expr = _parse_primary(s, level)
     while True:
-        token = s.match(TokenKind.SYMBOL, ".") or s.match(TokenKind.SYMBOL, "->")
-        if token is None:
+        tag, _, offset = s.tokens[s.pos]
+        if tag != "." and tag != "->":
             return expr
-        _deeper(s, s.deepest, token)
-        if token.text == ".":
-            expr = PropertyExp(expr, s.expect(TokenKind.IDENT, None, "property name").text)
+        s.pos += 1
+        _deeper(s, s.deepest, offset)
+        if tag == ".":
+            expr = PropertyExp(expr, s.expect("ident", "property name"))
         else:
             expr = _parse_collection_call(s, expr, level + 1)
 
 
 def _parse_collection_call(s: _TokenStream, source: Expr, level: int) -> Expr:
-    token = s.expect(TokenKind.IDENT, None, "collection operation name")
-    name = token.text
+    offset = s.tokens[s.pos][2]
+    name = s.expect("ident", "collection operation name")
     if name in _COLLECTION_OPS:
-        s.expect(TokenKind.SYMBOL, "(", "'('")
-        s.expect(TokenKind.SYMBOL, ")", "')'")
+        s.expect("(", "'('")
+        s.expect(")", "')'")
         return CollectionOpExp(source, _COLLECTION_OPS[name])
     if name in _ITERATOR_KINDS:
-        s.expect(TokenKind.SYMBOL, "(", "'('")
-        var = s.expect(TokenKind.IDENT, None, "iterator variable name").text
+        s.expect("(", "'('")
+        var = s.expect("ident", "iterator variable name")
         var_type = None
-        if s.match(TokenKind.SYMBOL, ":"):
-            var_type = s.expect(TokenKind.IDENT, None, "iterator variable type").text
-        s.expect(TokenKind.SYMBOL, "|", "'|'")
+        if s.tokens[s.pos][0] == ":":
+            s.pos += 1
+            var_type = s.expect("ident", "iterator variable type")
+        s.expect("|", "'|'")
         body = _parse_expr(s, level)
-        s.expect(TokenKind.SYMBOL, ")", "')'")
+        s.expect(")", "')'")
         return IteratorExp(source, _ITERATOR_KINDS[name], var, var_type, body)
     known = sorted(_COLLECTION_OPS) + sorted(_ITERATOR_KINDS)
-    raise ParseError(
+    raise s.error(
         f"unknown collection operation '{name}'",
-        token.line,
-        token.col,
-        expected=tuple(f"'{op}'" for op in known),
+        offset,
+        tuple(f"'{op}'" for op in known),
     )
 
 
 def _parse_primary(s: _TokenStream, level: int) -> Expr:
-    token = s.take()
-    if token.kind is TokenKind.KEYWORD:
-        if token.text == "self":
-            return SelfExp()
-        if token.text in ("true", "false"):
-            return BooleanLiteralExp(token.text == "true")
-        if token.text == "if":
-            level = _deeper(s, level, token)
-            condition = _parse_expr(s, level)
-            s.expect(TokenKind.KEYWORD, "then", "'then'")
-            then_branch = _parse_expr(s, level)
-            s.expect(TokenKind.KEYWORD, "else", "'else'")
-            else_branch = _parse_expr(s, level)
-            s.expect(TokenKind.KEYWORD, "endif", "'endif'")
-            return IfExp(condition, then_branch, else_branch)
-    elif token.kind is TokenKind.INT:
+    tag, text, offset = s.tokens[s.pos]
+    s.pos += 1
+    if tag == "ident":
+        return VariableExp(text)
+    if tag == "self":
+        return SelfExp()
+    if tag == "int":
         # Compare lengths first: int() refuses text of over 4300 digits.
-        digits = token.text.lstrip("0") or "0"
+        digits = text.lstrip("0") or "0"
         if len(digits) > len(str(INT64_MAX)) or int(digits) > INT64_MAX:
-            raise ParseError(
-                "integer literal out of 64-bit range", token.line, token.col
-            )
+            raise s.error("integer literal out of 64-bit range", offset)
         return IntegerLiteralExp(int(digits))
-    elif token.kind is TokenKind.REAL:
-        value = float(token.text)
-        if value == math.inf:
-            raise ParseError("real literal out of range", token.line, token.col)
-        return RealLiteralExp(value)
-    elif token.kind is TokenKind.STRING:
-        return StringLiteralExp(token.text)
-    elif token.kind is TokenKind.IDENT:
-        return VariableExp(token.text)
-    elif token.kind is TokenKind.SYMBOL and token.text == "(":
-        expr = _parse_expr(s, _deeper(s, level, token))
-        s.expect(TokenKind.SYMBOL, ")", "')'")
+    if tag == "true" or tag == "false":
+        return BooleanLiteralExp(tag == "true")
+    if tag == "string":
+        return StringLiteralExp(text)
+    if tag == "(":
+        expr = _parse_expr(s, _deeper(s, level, offset))
+        s.expect(")", "')'")
         return expr
-    raise ParseError(
-        f"expected expression, found {token.describe()}",
-        token.line,
-        token.col,
-        expected=("expression",),
-    )
+    if tag == "if":
+        level = _deeper(s, level, offset)
+        condition = _parse_expr(s, level)
+        s.expect("then", "'then'")
+        then_branch = _parse_expr(s, level)
+        s.expect("else", "'else'")
+        else_branch = _parse_expr(s, level)
+        s.expect("endif", "'endif'")
+        return IfExp(condition, then_branch, else_branch)
+    if tag == "real":
+        value = float(text)
+        if value == math.inf:
+            raise s.error("real literal out of range", offset)
+        return RealLiteralExp(value)
+    raise s.error(f"expected expression, found {describe(tag, text)}", offset, ("expression",))

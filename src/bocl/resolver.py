@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -77,10 +78,13 @@ _PRIMITIVE_TYPES = {
 }
 
 
+# Each distinct type is built once; the bound keeps long-lived processes small.
+@functools.lru_cache(maxsize=1024)
 def object_type(class_name: str) -> OclType:
     return OclType(TypeKind.OBJECT, class_name=class_name)
 
 
+@functools.lru_cache(maxsize=1024)
 def collection_type(element: OclType) -> OclType:
     return OclType(TypeKind.COLLECTION, element=element)
 
@@ -155,41 +159,17 @@ class _Resolver:
         return ERROR_T
 
     def resolve(self, expr: Expr, path: str) -> TypedExpr:
-        if isinstance(expr, SelfExp):
-            return TypedExpr(expr, self.self_type)
-        if isinstance(expr, VariableExp):
-            for name, vtype in reversed(self.scopes):
-                if name == expr.name:
-                    return TypedExpr(expr, vtype)
-            return TypedExpr(
-                expr,
-                self.fail(
-                    ResolutionErrorKind.UNKNOWN_VARIABLE,
-                    path,
-                    f"unknown variable '{expr.name}'",
-                ),
-            )
-        if isinstance(expr, IntegerLiteralExp):
-            return TypedExpr(expr, INT_T)
-        if isinstance(expr, RealLiteralExp):
-            return TypedExpr(expr, REAL_T)
-        if isinstance(expr, StringLiteralExp):
-            return TypedExpr(expr, STR_T)
-        if isinstance(expr, BooleanLiteralExp):
-            return TypedExpr(expr, BOOL_T)
-        if isinstance(expr, PropertyExp):
-            return self._resolve_property(expr, path)
-        if isinstance(expr, OperationCallExp):
-            return self._resolve_operation(expr, path)
-        if isinstance(expr, UnaryExp):
-            return self._resolve_unary(expr, path)
-        if isinstance(expr, IfExp):
-            return self._resolve_if(expr, path)
-        if isinstance(expr, IteratorExp):
-            return self._resolve_iterator(expr, path)
-        if isinstance(expr, CollectionOpExp):
-            return self._resolve_collection_op(expr, path)
-        raise TypeError(f"not an expression node: {expr!r}")
+        resolve_node = _RESOLVE_BY_TYPE.get(type(expr))
+        if resolve_node is None:
+            raise TypeError(f"not an expression node: {expr!r}")
+        return resolve_node(self, expr, path)
+
+    def _resolve_variable(self, expr: VariableExp, path: str) -> TypedExpr:
+        for name, vtype in reversed(self.scopes):
+            if name == expr.name:
+                return TypedExpr(expr, vtype)
+        message = f"unknown variable '{expr.name}'"
+        return TypedExpr(expr, self.fail(ResolutionErrorKind.UNKNOWN_VARIABLE, path, message))
 
     def _resolve_property(self, expr: PropertyExp, path: str) -> TypedExpr:
         source = self.resolve(expr.source, f"{path}.source")
@@ -423,6 +403,23 @@ class _Resolver:
             return TypedExpr(expr, t, (source,))
         result = INT_T if expr.op is CollectionOp.SIZE else BOOL_T
         return TypedExpr(expr, result, (source,))
+
+
+# Expression node type -> the function that types it, called with the resolver.
+_RESOLVE_BY_TYPE = {
+    SelfExp: lambda resolver, expr, path: TypedExpr(expr, resolver.self_type),
+    IntegerLiteralExp: lambda resolver, expr, path: TypedExpr(expr, INT_T),
+    RealLiteralExp: lambda resolver, expr, path: TypedExpr(expr, REAL_T),
+    StringLiteralExp: lambda resolver, expr, path: TypedExpr(expr, STR_T),
+    BooleanLiteralExp: lambda resolver, expr, path: TypedExpr(expr, BOOL_T),
+    VariableExp: _Resolver._resolve_variable,
+    PropertyExp: _Resolver._resolve_property,
+    OperationCallExp: _Resolver._resolve_operation,
+    UnaryExp: _Resolver._resolve_unary,
+    IfExp: _Resolver._resolve_if,
+    IteratorExp: _Resolver._resolve_iterator,
+    CollectionOpExp: _Resolver._resolve_collection_op,
+}
 
 
 def resolve(ast: ConstraintAst, model: StructuralModel) -> TypedConstraint:

@@ -15,11 +15,17 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_bench_workload_runs_clean(workload):
+# --trace 1 replays the pipeline step by step through the public API,
+# checks that its counters repeat and that its output equals the CLI's.
+@pytest.mark.parametrize(
+    "workload,trace",
+    [pytest.param(w, 0, id=w) for w in WORKLOADS]
+    + [pytest.param(w, 1, id=f"{w}-traced") for w in WORKLOADS],
+)
+def test_bench_workload_runs_clean(workload, trace):
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
-         "--seconds", "1", "--scale", "0.1", "--trace", "0"],
+         "--seconds", "1", "--scale", "0.1", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

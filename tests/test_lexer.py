@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bocl.lexer import ParseError, TokenKind, tokenize
+from bocl.lexer import ParseError, TokenKind, scan, tokenize
 
 
 def kinds_and_texts(source):
@@ -151,11 +151,32 @@ def test_non_ascii_letters_and_digits_are_illegal(source):
         ("'a\nb' x", 1, (2, 4)),  # a newline inside a string moves the line
         ("a -- c", 1, (1, 7)),  # EOF after a comment
         ("a\n", 1, (2, 1)),
+        ("a -- c\n  b", 1, (2, 3)),  # the newline that ends a comment moves the line
+        ("'a''\n''b' x", 1, (2, 6)),  # doubled quotes around a newline in a string
+        ("'\n\n' -- c\n\n x", 1, (5, 2)),
+        ("x\n'it''s'", 1, (2, 1)),
     ],
 )
 def test_token_positions(source, index, position):
     token = tokenize(source)[index]
     assert (token.line, token.col) == position
+
+
+def test_tokens_of_multi_line_source():
+    source = "context Book inv -- header\n  self.title <> 'it''s\na' -- tail\n\tAND 1.5"
+    assert [(t.kind, t.text, t.line, t.col) for t in tokenize(source)] == [
+        (TokenKind.KEYWORD, "context", 1, 1),
+        (TokenKind.IDENT, "Book", 1, 9),
+        (TokenKind.KEYWORD, "inv", 1, 14),
+        (TokenKind.KEYWORD, "self", 2, 3),
+        (TokenKind.SYMBOL, ".", 2, 7),
+        (TokenKind.IDENT, "title", 2, 8),
+        (TokenKind.SYMBOL, "<>", 2, 14),
+        (TokenKind.STRING, "it's\na", 2, 17),
+        (TokenKind.KEYWORD, "and", 4, 2),
+        (TokenKind.REAL, "1.5", 4, 6),
+        (TokenKind.EOF, "", 4, 9),
+    ]
 
 
 def _offset(source, line, col):
@@ -172,6 +193,9 @@ def test_positions_point_at_source_text(source):
     try:
         tokens = tokenize(source)
     except ParseError as error:
+        with pytest.raises(ParseError) as scanned:
+            scan(source)
+        assert (scanned.value.line, scanned.value.col) == (error.line, error.col)
         at = source[_offset(source, error.line, error.col)]
         assert at == "'" if "unterminated" in error.message else repr(at) in error.message
         return
@@ -185,3 +209,5 @@ def test_positions_point_at_source_text(source):
             assert at.startswith(token.text)
     eof = tokens[-1]
     assert _offset(source, eof.line, eof.col) == len(source)
+    # The benchmark counts tokens with tokenize; the parser reads scan.
+    assert len(tokens) == len(scan(source))

@@ -383,8 +383,8 @@ def test_query_results_do_not_alias_the_tables(built_model, built_objects):
     books = instances_of(built_objects, book)
     expected = (dict(ends), list(linked), list(books))
 
-    ends.clear()
-    ends["bogus"] = None
+    with pytest.raises(TypeError):
+        ends["bogus"] = None
     linked.append(lib_obj)
     books.clear()
 

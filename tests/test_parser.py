@@ -1,6 +1,9 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bocl.ast import (
     MAX_DEPTH,
@@ -21,7 +24,7 @@ from bocl.ast import (
     VariableExp,
     pretty_print,
 )
-from bocl.lexer import ParseError
+from bocl.lexer import ParseError, tokenize
 from bocl.parser import parse_constraint, parse_expression
 
 from generators import gen_syntactic_constraint
@@ -236,6 +239,39 @@ def test_chain_links_count_below_first_operand(kind):
     with pytest.raises(ParseError) as exc:
         parse_expression(build(MAX_DEPTH + 1))
     assert exc.value.message == "expression nests too deeply"
+
+
+# Words of printed constraint text, as the constraint-text fuzz in
+# test_cli.py splits them.
+_WORD_RE = re.compile(r"'(?:[^']|'')*'|[A-Za-z_][A-Za-z0-9_]*|[0-9.]+|->|<>|<=|>=|\S")
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    swaps=st.lists(st.tuples(st.integers(0, 999), st.integers(0, 999)), max_size=3),
+    separator=st.sampled_from([" ", "\n", "\n  -- note\n\t"]),
+    keep=st.floats(0, 1),
+)
+@settings(derandomize=True, max_examples=500, deadline=None)
+def test_syntax_errors_point_at_a_token(seed, swaps, separator, keep):
+    text = pretty_print(gen_syntactic_constraint(random.Random(seed), max_depth=4))
+    words = _WORD_RE.findall(text)
+    for i, j in swaps:
+        i, j = i % len(words), j % len(words)
+        words[i], words[j] = words[j], words[i]
+    source = separator.join(words)
+    source = source[: round(len(source) * keep)]
+    try:
+        tokens = tokenize(source)
+    except ParseError as lexical:
+        with pytest.raises(ParseError) as exc:
+            parse_constraint(source)
+        assert (exc.value.line, exc.value.col) == (lexical.line, lexical.col)
+        return
+    try:
+        parse_constraint(source)
+    except ParseError as error:
+        assert (error.line, error.col) in {(t.line, t.col) for t in tokens}, error
 
 
 def test_missing_context_keyword():
