@@ -27,7 +27,7 @@ from .ast import (
     VariableExp,
 )
 from .lexer import ParseError
-from .model import ConstraintDef, ObjectModel, StructuralModel, instances_of
+from .model import ConstraintDef, ObjectModel, StructuralModel, _far_rows, instances_of
 from .parser import parse_constraint
 from .resolver import (
     AttributeAccess,
@@ -223,7 +223,7 @@ def _compile(typed: TypedExpr, objects: ObjectModel) -> Callable[[dict], object]
     # The resolver picked this end from the model's role table, the one
     # navigate() reads, so the adjacency row toward it is bound here once.
     assoc, end = access.association, access.end
-    row = objects._adjacency.get(assoc.name, ({}, {}))[0 if end is assoc.end1 else 1]
+    row = _far_rows(objects, assoc, end)
     if end.multiplicity.upper != 1:
         return lambda scope: tuple(row.get(source(scope).name, ()))
 

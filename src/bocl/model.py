@@ -54,12 +54,11 @@ class ClassDef:
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.attributes, key=lambda a: a.name))
         object.__setattr__(self, "attributes", ordered)
+        # Not a field, as StructuralModel's tables; the first of a duplicate name wins.
+        object.__setattr__(self, "_attributes", {a.name: a for a in reversed(ordered)})
 
     def attribute_named(self, name: str) -> Attribute | None:
-        for attr in self.attributes:
-            if attr.name == name:
-                return attr
-        return None
+        return self._attributes.get(name)
 
 
 @dataclass(frozen=True)
@@ -357,90 +356,87 @@ def validate_conformance(
     """
     diags: list[ModelDiagnostic] = []
 
+    # Per model class: slot name -> the exact Python type of its value.
+    slot_types = {name: {slot: SLOT_TYPES[attr.type] for slot, attr in cls._attributes.items()}
+                  for name, cls in model._classes.items()}
     seen_names: set[str] = set()
     for obj in objects.objects:
-        path = f"objects[{obj.name}]"
         if obj.name in seen_names:
-            diags.append(_error(path, f"duplicate object name '{obj.name}'"))
+            diags.append(_error(f"objects[{obj.name}]", f"duplicate object name '{obj.name}'"))
         seen_names.add(obj.name)
         if not is_identifier(obj.name):
-            diags.append(_error(path, f"object name '{obj.name}' is not an identifier"))
+            message = f"object name '{obj.name}' is not an identifier"
+            diags.append(_error(f"objects[{obj.name}]", message))
 
         model_cls = model.class_named(obj.classifier.name)
         if model_cls is None:
-            diags.append(_error(path, f"unknown class '{obj.classifier.name}'"))
+            diags.append(_error(f"objects[{obj.name}]", f"unknown class '{obj.classifier.name}'"))
             continue
-        if model_cls != obj.classifier:
-            diags.append(
-                _error(path, f"classifier '{obj.classifier.name}' differs from the model class")
-            )
+        if model_cls is not obj.classifier and model_cls != obj.classifier:
+            message = f"classifier '{obj.classifier.name}' differs from the model class"
+            diags.append(_error(f"objects[{obj.name}]", message))
             continue
 
+        types = slot_types[model_cls.name]
         for slot_name, value in obj.slots.items():
-            spath = f"{path}.slots[{slot_name}]"
-            attr = model_cls.attribute_named(slot_name)
-            if attr is None:
-                diags.append(
-                    _error(spath, f"class '{model_cls.name}' has no attribute '{slot_name}'")
-                )
+            expected = types.get(slot_name)
+            if type(value) is expected and (
+                expected is not int or INT64_MIN <= value <= INT64_MAX
+            ) and (expected is not float or math.isfinite(value)):
                 continue
-            expected = SLOT_TYPES[attr.type]
-            if type(value) is not expected:
-                problem, tail = "type mismatch", "is not"
-            elif expected is int and not INT64_MIN <= value <= INT64_MAX:
-                problem, tail = "out of range", "does not fit in 64 bits"
-            elif expected is float and not math.isfinite(value):
-                problem, tail = "out of range", "is not finite"
+            if expected is None:
+                message = f"class '{model_cls.name}' has no attribute '{slot_name}'"
             else:
-                continue
-            try:
-                shown = repr(value)
-            except ValueError:  # Python will not print an int of over 4300 digits
-                shown = f"of {value.bit_length()} bits"
-            detail = f"attribute '{slot_name}' is {attr.type.value}, value {shown}"
-            diags.append(_error(spath, f"slot {problem}: {detail} {tail}"))
+                if type(value) is not expected:
+                    problem, tail = "type mismatch", "is not"
+                elif expected is int:
+                    problem, tail = "out of range", "does not fit in 64 bits"
+                else:
+                    problem, tail = "out of range", "is not finite"
+                try:
+                    shown = repr(value)
+                except ValueError:  # Python will not print an int of over 4300 digits
+                    shown = f"of {value.bit_length()} bits"
+                ptype = model_cls.attribute_named(slot_name).type.value
+                detail = f"attribute '{slot_name}' is {ptype}, value {shown}"
+                message = f"slot {problem}: {detail} {tail}"
+            diags.append(_error(f"objects[{obj.name}].slots[{slot_name}]", message))
 
     for link in objects.links:
-        path = f"links[{link.name}]"
-        model_assoc = model.association_named(link.association.name)
-        if model_assoc is None or model_assoc != link.association:
-            diags.append(
-                _error(path, f"unknown association '{link.association.name}'")
-            )
+        assoc = link.association
+        model_assoc = model.association_named(assoc.name)
+        if model_assoc is None or (model_assoc is not assoc and model_assoc != assoc):
+            diags.append(_error(f"links[{link.name}]", f"unknown association '{assoc.name}'"))
             continue
-        for label, end, obj in (
-            ("end1", link.association.end1, link.end1_object),
-            ("end2", link.association.end2, link.end2_object),
-        ):
-            if objects.object_named(obj.name) != obj:
-                diags.append(
-                    _error(f"{path}.{label}", f"object '{obj.name}' is not in the object model")
-                )
+        ends = (("end1", assoc.end1, link.end1_object), ("end2", assoc.end2, link.end2_object))
+        for label, end, obj in ends:
+            known = objects.object_named(obj.name)
+            if known is not obj and known != obj:
+                message = f"object '{obj.name}' is not in the object model"
             elif obj.classifier.name != end.target.name:
-                diags.append(
-                    _error(
-                        f"{path}.{label}",
-                        f"object '{obj.name}' is a {obj.classifier.name}, "
-                        f"end '{end.role}' expects {end.target.name}",
-                    )
+                message = (
+                    f"object '{obj.name}' is a {obj.classifier.name}, "
+                    f"end '{end.role}' expects {end.target.name}"
                 )
+            else:
+                continue
+            diags.append(_error(f"links[{link.name}].{label}", message))
 
     if any(d.severity is Severity.ERROR for d in diags):
         return diags
 
     # Counts are advisory: partially populated scenarios stay loadable.
+    # Per class name: (role, far-object rows, multiplicity), in role order.
+    ends_of = {
+        name: [(role, _far_rows(objects, *ends[role]), ends[role][1].multiplicity)
+               for role in sorted(ends)] for name, ends in model._roles.items()
+    }
     for obj in objects.objects:
-        for role, (assoc, end) in sorted(model._roles.get(obj.classifier.name, {}).items()):
-            count = len(_far_objects(objects, obj, assoc, end))
-            mult = end.multiplicity
+        for role, rows, mult in ends_of.get(obj.classifier.name, ()):
+            count = len(rows.get(obj.name, ()))
             if count < mult.lower or (mult.upper is not None and count > mult.upper):
-                diags.append(
-                    _warning(
-                        f"objects[{obj.name}]",
-                        f"{count} object(s) linked via '{role}', "
-                        f"multiplicity is {mult}",
-                    )
-                )
+                message = f"{count} object(s) linked via '{role}', multiplicity is {mult}"
+                diags.append(_warning(f"objects[{obj.name}]", message))
 
     return diags
 
@@ -467,17 +463,12 @@ def navigate(
     ends = model._roles.get(source.classifier.name, {})
     if role_name not in ends:
         raise UnknownRoleError(role_name, source.classifier.name)
-    return list(_far_objects(objects, source, *ends[role_name]))
+    return list(_far_rows(objects, *ends[role_name]).get(source.name, ()))
 
 
-def _far_objects(
-    objects: ObjectModel,
-    source: ObjectInstance,
-    assoc: BinaryAssociation,
-    end: AssociationEnd,
-) -> list[ObjectInstance]:
-    """The adjacency row itself, not a copy: callers must not mutate it."""
+def _far_rows(objects: ObjectModel, assoc: BinaryAssociation, end: AssociationEnd) -> dict:
+    """Near object name -> far objects toward end: the table, not a copy."""
     toward = objects._adjacency.get(assoc.name)
     if toward is None:
-        return []
-    return toward[0 if end is assoc.end1 else 1].get(source.name, [])
+        return {}
+    return toward[0 if end is assoc.end1 else 1]

@@ -42,6 +42,7 @@ from .model import (
     ObjectModel,
     PrimitiveType,
     Severity,
+    SLOT_TYPES,
     StructuralModel,
     validate_conformance,
     validate_structural,
@@ -51,6 +52,12 @@ MODEL_SCHEMA_VERSION = "bocl-model/1"
 OBJECTS_SCHEMA_VERSION = "bocl-objects/1"
 
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}\Z")
+_OBJECT_REQUIRED = frozenset({"name", "class"})
+_OBJECT_KEYS = _OBJECT_REQUIRED | {"slots"}
+_LINK_REQUIRED = frozenset({"association", "ends"})
+_LINK_KEYS = _LINK_REQUIRED | {"name"}
+_END_KEYS = frozenset({"role", "object"})
+_DECODED = (PrimitiveType.DATE, PrimitiveType.REAL)
 
 
 class IoErrorKind(Enum):
@@ -114,6 +121,10 @@ def _malformed(message: str) -> IoError:
     return IoError(IoErrorKind.MALFORMED, message)
 
 
+def _conformance(message: str) -> IoError:
+    return IoError(IoErrorKind.CONFORMANCE, message)
+
+
 def _check_keys(record: dict, required: set[str], optional: set[str], where: str) -> None:
     if not isinstance(record, dict):
         raise _malformed(f"{where} must be an object")
@@ -143,8 +154,6 @@ def _list_field(record: dict, key: str, where: str) -> list:
 # ---------- Structural model ----------
 
 def _multiplicity_from_json(raw: object, where: str) -> Multiplicity:
-    if not isinstance(raw, dict):
-        raise _malformed(f"{where} must be an object")
     _check_keys(raw, {"lower", "upper"}, set(), where)
     lower = raw["lower"]
     upper = raw["upper"]
@@ -295,27 +304,40 @@ def save_structural(model: StructuralModel, path: str | Path) -> None:
 
 # ---------- Object model ----------
 
-def _decode_slot(value: object, attr: Attribute | None, where: str) -> object:
-    """Decode what JSON cannot express: a date, or a whole number for a
-    real. Every other value is kept as it is for validate_conformance."""
-    if attr is None:
-        return value
-    if attr.type is PrimitiveType.DATE and isinstance(value, str):
-        if not _DATE_RE.match(value):
-            raise IoError(
-                IoErrorKind.CONFORMANCE,
-                f'{where}: date must be "YYYY-MM-DD", found {value!r}',
-            )
-        try:
-            return datetime.date.fromisoformat(value)
-        except ValueError as error:
-            raise IoError(IoErrorKind.CONFORMANCE, f"{where}: {error}") from None
-    if attr.type is PrimitiveType.REAL and type(value) is int:
+def _decode_slot(value: object, target: type, index: int, attr_name: str) -> object:
+    """Decode what JSON cannot express for a slot of Python type target: a date,
+    or a whole number for a real. Other values are left to validate_conformance."""
+    if target is float and type(value) is int:
         try:
             return float(value)
         except OverflowError:
             return math.inf if value > 0 else -math.inf
-    return value
+    if target is float or not isinstance(value, str):
+        return value
+    if _DATE_RE.match(value):
+        try:
+            return datetime.date.fromisoformat(value)
+        except ValueError as error:
+            problem = str(error)
+    else:
+        problem = f'date must be "YYYY-MM-DD", found {value!r}'
+    raise _conformance(f"objects[{index}].slots[{attr_name}]: {problem}")
+
+
+def _check_record(record: object, required: frozenset, allowed: frozenset, strings: tuple,
+                  where: str, *at: int) -> None:
+    """Raise IoError Malformed if record is not an object, lacks a key or has an unknown
+    one, or has a non-string value under strings. Its path is where.format(*at)."""
+    if isinstance(record, dict) and required <= record.keys() <= allowed:
+        for key in strings:
+            if not isinstance(record[key], str):
+                break
+        else:
+            return
+    where = where.format(*at)
+    _check_keys(record, required, allowed - required, where)
+    for key in strings:
+        _str_field(record, key, where)
 
 
 def objects_from_document(doc: dict, model: StructuralModel) -> ObjectModel:
@@ -324,80 +346,67 @@ def objects_from_document(doc: dict, model: StructuralModel) -> ObjectModel:
     Raises IoError for a malformed shape, a date it cannot decode, or a
     link it cannot wire to the structural model. An unknown class gets a
     placeholder ClassDef; that and every slot problem are left to
-    validate_conformance.
+    validate_conformance. The document itself is not changed.
     """
     _check_keys(doc, {"schemaVersion", "name"}, {"objects", "links"}, "objects document")
     name = _str_field(doc, "name", "objects document")
 
+    # Per model class: the class, and the Python type of each attribute
+    # whose JSON value may need decoding (dates, and reals as whole numbers).
+    tables = {
+        class_name: (cls, {
+            a.name: SLOT_TYPES[a.type] for a in cls._attributes.values() if a.type in _DECODED
+        })
+        for class_name, cls in model._classes.items()
+    }
     objects = []
     for i, raw in enumerate(_list_field(doc, "objects", "objects document")):
-        where = f"objects[{i}]"
-        _check_keys(raw, {"name", "class"}, {"slots"}, where)
-        obj_name = _str_field(raw, "name", where)
-        class_name = _str_field(raw, "class", where)
-        cls = model.class_named(class_name) or ClassDef(class_name)
+        if not (isinstance(raw, dict) and raw.keys() <= _OBJECT_KEYS  # the hot case, inline
+                and isinstance(raw.get("name"), str) and isinstance(raw.get("class"), str)):
+            _check_record(raw, _OBJECT_REQUIRED, _OBJECT_KEYS, ("name", "class"), "objects[{}]", i)
         slots_raw = raw.get("slots", {})
         if not isinstance(slots_raw, dict):
-            raise _malformed(f"{where}.slots must be an object")
-        slots = {
-            attr_name: _decode_slot(
-                value, cls.attribute_named(attr_name), f"{where}.slots[{attr_name}]"
-            )
-            for attr_name, value in slots_raw.items()
-        }
-        objects.append(ObjectInstance(obj_name, cls, slots))
+            raise _malformed(f"objects[{i}].slots must be an object")
+        cls, decoded = tables.get(raw["class"]) or (ClassDef(raw["class"]), {})
+        slots = dict(slots_raw)
+        for attr_name, value in slots_raw.items():
+            target = decoded.get(attr_name)
+            if target is not None and type(value) is not target:
+                slots[attr_name] = _decode_slot(value, target, i, attr_name)
+        objects.append(ObjectInstance(raw["name"], cls, slots))
 
     # A duplicated name means its first object, the one ObjectModel indexes.
     obj_by_name = {obj.name: obj for obj in reversed(objects)}
 
     links = []
     for i, raw in enumerate(_list_field(doc, "links", "objects document")):
-        where = f"links[{i}]"
-        _check_keys(raw, {"association", "ends"}, {"name"}, where)
-        assoc_name = _str_field(raw, "association", where)
+        _check_record(raw, _LINK_REQUIRED, _LINK_KEYS, ("association",), "links[{}]", i)
+        assoc_name = raw["association"]
         assoc = model.association_named(assoc_name)
         if assoc is None:
-            raise IoError(
-                IoErrorKind.CONFORMANCE, f"{where}: unknown association {assoc_name!r}"
-            )
+            raise _conformance(f"links[{i}]: unknown association {assoc_name!r}")
         ends_raw = raw["ends"]
         if not isinstance(ends_raw, list) or len(ends_raw) != 2:
-            raise _malformed(f"{where}.ends must be an array of exactly two ends")
+            raise _malformed(f"links[{i}].ends must be an array of exactly two ends")
+        roles = (assoc.end1.role, assoc.end2.role)
         by_role: dict[str, ObjectInstance] = {}
-        for j, eraw in enumerate(ends_raw):
-            ewhere = f"{where}.ends[{j}]"
-            _check_keys(eraw, {"role", "object"}, set(), ewhere)
-            role = _str_field(eraw, "role", ewhere)
-            target_name = _str_field(eraw, "object", ewhere)
-            if role not in (assoc.end1.role, assoc.end2.role):
-                raise IoError(
-                    IoErrorKind.CONFORMANCE,
-                    f"{ewhere}: association '{assoc_name}' has no role {role!r}",
+        for j, end in enumerate(ends_raw):
+            _check_record(end, _END_KEYS, _END_KEYS, ("role", "object"), "links[{}].ends[{}]", i, j)
+            role, target_name = end["role"], end["object"]
+            if role not in roles:
+                raise _conformance(
+                    f"links[{i}].ends[{j}]: association '{assoc_name}' has no role {role!r}"
                 )
             if role in by_role:
-                raise IoError(
-                    IoErrorKind.CONFORMANCE, f"{ewhere}: duplicate role {role!r}"
-                )
+                raise _conformance(f"links[{i}].ends[{j}]: duplicate role {role!r}")
             target = obj_by_name.get(target_name)
             if target is None:
-                raise IoError(
-                    IoErrorKind.CONFORMANCE,
-                    f"{ewhere}: unknown object {target_name!r}",
-                )
+                raise _conformance(f"links[{i}].ends[{j}]: unknown object {target_name!r}")
             by_role[role] = target
-        if set(by_role) != {assoc.end1.role, assoc.end2.role}:
-            raise IoError(
-                IoErrorKind.CONFORMANCE,
-                f"{where}: link must name both roles of '{assoc_name}'",
-            )
-        link_name = raw.get("name", f"{assoc_name}_{i}")
+        link_name = raw["name"] if "name" in raw else f"{assoc_name}_{i}"
         if not isinstance(link_name, str):
-            raise _malformed(f"{where}.name must be a string")
-        links.append(
-            LinkInstance(
-                link_name, assoc, by_role[assoc.end1.role], by_role[assoc.end2.role]
-            )
-        )
+            raise _malformed(f"links[{i}].name must be a string")
+        links.append(LinkInstance(link_name, assoc, by_role[roles[0]], by_role[roles[1]]))
 
     return ObjectModel(name, tuple(objects), tuple(links))
 

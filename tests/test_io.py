@@ -2,6 +2,7 @@ import copy
 import datetime
 import io
 import json
+import math
 import random
 
 import pytest
@@ -288,6 +289,122 @@ def test_link_end_class_mismatch_aborts(tmp_path, objects_doc, library_model):
         load_objects(path, library_model)
     assert exc.value.kind is IoErrorKind.CONFORMANCE
     assert any(d.severity is Severity.ERROR for d in exc.value.diagnostics)
+
+
+# -- the loader's messages, verbatim --
+
+def _book_b1(doc):
+    """The objects document with a fourth object, b1, at objects[3]."""
+    doc["objects"].append({
+        "name": "b1",
+        "class": "Book",
+        "slots": {"title": "T", "pages": 5, "release": "2021-01-02", "price": 12},
+    })
+    return doc
+
+
+def _set(path, value):
+    """A mutation that sets doc[path[0]][path[1]]... to value."""
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return mutate
+
+
+def _drop(path):
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+    return mutate
+
+
+_B1 = ("objects", 3)
+_B1_SLOTS = _B1 + ("slots",)
+_END = ("links", 1, "ends")  # lib_book_assoc: locatedIn library_obj, contains book_obj
+_MISMATCH = ("error: links[library_book_link].end1: object 'author_obj' is a Author, "
+             "end 'locatedIn' expects Library")
+
+LOADER_MESSAGES = [
+    ("missing-key", _drop(_B1 + ("class",)), "Malformed: objects[3] is missing key(s) ['class']"),
+    ("unknown-key", _set(_B1 + ("colour",), "red"),
+     "Malformed: objects[3] has unknown key(s) ['colour']"),
+    ("name-not-string", _set(_B1 + ("name",), 7), "Malformed: objects[3].name must be a string"),
+    ("class-not-string", _set(_B1 + ("class",), None),
+     "Malformed: objects[3].class must be a string"),
+    ("slots-not-object", _set(_B1_SLOTS, []), "Malformed: objects[3].slots must be an object"),
+    ("malformed-date", _set(_B1_SLOTS + ("release",), "2021/01/02"),
+     """Conformance: objects[3].slots[release]: date must be "YYYY-MM-DD", found '2021/01/02'"""),
+    ("impossible-date", _set(_B1_SLOTS + ("release",), "2021-02-30"),
+     "Conformance: objects[3].slots[release]: day is out of range for month"),
+    ("unknown-class", _set(_B1 + ("class",), "Magazine"),
+     "Conformance: error: objects[b1]: unknown class 'Magazine'"),
+    ("unknown-attribute", _set(_B1_SLOTS + ("shelf",), 3),
+     "Conformance: error: objects[b1].slots[shelf]: class 'Book' has no attribute 'shelf'"),
+    ("type-mismatch", _set(_B1_SLOTS + ("pages",), "5"),
+     "Conformance: error: objects[b1].slots[pages]: slot type mismatch: "
+     "attribute 'pages' is int, value '5' is not"),
+    ("bool-in-int", _set(_B1_SLOTS + ("pages",), True),
+     "Conformance: error: objects[b1].slots[pages]: slot type mismatch: "
+     "attribute 'pages' is int, value True is not"),
+    ("int-outside-64-bits", _set(_B1_SLOTS + ("pages",), -(2**63) - 1),
+     "Conformance: error: objects[b1].slots[pages]: slot out of range: "
+     "attribute 'pages' is int, value -9223372036854775809 does not fit in 64 bits"),
+    ("non-finite-real", _set(_B1_SLOTS + ("price",), math.inf),
+     "Conformance: error: objects[b1].slots[price]: slot out of range: "
+     "attribute 'price' is real, value inf is not finite"),
+    ("link-missing-key", _drop(("links", 1, "ends")),
+     "Malformed: links[1] is missing key(s) ['ends']"),
+    ("end-not-string", _set(_END + (0, "object"), 3),
+     "Malformed: links[1].ends[0].object must be a string"),
+    ("unknown-role", _set(_END + (0, "role"), "haz"),
+     "Conformance: links[1].ends[0]: association 'lib_book_assoc' has no role 'haz'"),
+    ("unknown-object", _set(_END + (1, "object"), "ghost"),
+     "Conformance: links[1].ends[1]: unknown object 'ghost'"),
+    ("link-end-class-mismatch", _set(_END + (0, "object"), "author_obj"),
+     f"Conformance: {_MISMATCH}"),
+    # Two bad slots: decoding stops at the first in document order, and
+    # conformance lists every problem in slot order.
+    ("two-bad-dates", _set(_B1_SLOTS, {"release": "2021-13-01", "acquired": "today"}),
+     "Conformance: objects[3].slots[release]: month must be in 1..12"),
+    ("two-bad-slots", _set(_B1_SLOTS, {"title": 7, "pages": 1.5}),
+     "Conformance: error: objects[b1].slots[title]: slot type mismatch: "
+     "attribute 'title' is str, value 7 is not; "
+     "error: objects[b1].slots[pages]: slot type mismatch: "
+     "attribute 'pages' is int, value 1.5 is not"),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate, message", [case[1:] for case in LOADER_MESSAGES], ids=[c[0] for c in LOADER_MESSAGES]
+)
+def test_loader_messages(tmp_path, model_doc, objects_doc, mutate, message):
+    for cls in model_doc["classes"]:
+        if cls["name"] == "Book":
+            cls["attributes"] += [{"name": "price", "type": "real"},
+                                  {"name": "acquired", "type": "date"}]
+    (tmp_path / "m.json").write_text(json.dumps(model_doc))
+    model = load_structural(tmp_path / "m.json")
+    doc = _book_b1(objects_doc)
+    mutate(doc)
+    (tmp_path / "o.json").write_text(json.dumps(doc))
+    with pytest.raises(IoError) as exc:
+        load_objects(tmp_path / "o.json", model)
+    assert str(exc.value) == message
+
+
+def test_objects_from_document_leaves_its_input_alone(tmp_path, model_doc, objects_doc):
+    model = _model_with_price(tmp_path, model_doc)
+    doc = _book_b1(objects_doc)
+    _book_b1(doc)["objects"][4].update(name="b2", slots={"pages": "x", "release": 3})
+    before = json.dumps(doc)  # tells 12 from 12.0, unlike ==
+    objects = objects_from_document(doc, model)
+    assert json.dumps(doc) == before
+    b1 = objects.object_named("b1")
+    assert b1.slots == {"title": "T", "pages": 5, "release": datetime.date(2021, 1, 2), "price": 12.0}
+    assert type(b1.slots["price"]) is float
+    assert b1.slots is not doc["objects"][3]["slots"]
 
 
 def test_round_trip_golden(library_model, library_objects, tmp_path):

@@ -278,6 +278,10 @@ def _assert_tables_match_scans(model, objects):
     classes = list(model.classes) + [o.classifier for o in objects.objects]
     for cls in classes:
         assert model.navigable_ends(cls) == _scan_navigable_ends(model, cls)
+        for name in sorted({a.name for a in cls.attributes} | {"missing"}):
+            assert cls.attribute_named(name) is next(
+                (a for a in cls.attributes if a.name == name), None
+            )
         assert instances_of(objects, cls) == [
             o for o in objects.objects if o.classifier.name == cls.name
         ]
@@ -319,6 +323,16 @@ def _person_model():
         AssociationEnd("children", person, Multiplicity(0, None)),
     )
     return person, parenthood, StructuralModel("family", (person,), (parenthood,))
+
+
+def test_duplicate_attribute_name_keeps_the_first():
+    first, second = Attribute("x", PrimitiveType.INT), Attribute("x", PrimitiveType.DATE)
+    cls = ClassDef("C", (Attribute("y", PrimitiveType.STR), first, second))
+    assert cls.attributes[:2] == (first, second)  # sorted by name, stably
+    assert cls.attribute_named("x") is first
+    model = StructuralModel("dup", (cls,))
+    assert validate_structural(model)  # duplicate attribute name
+    _assert_tables_match_scans(model, ObjectModel("m", (ObjectInstance("o", cls, {}),)))
 
 
 def test_self_association_navigates_each_role_its_own_way():
@@ -399,6 +413,13 @@ def test_tables_are_not_dataclass_fields(built_model, built_objects):
         "name", "classes", "associations", "constraints",
     ]
     assert [f.name for f in dataclasses.fields(ObjectModel)] == ["name", "objects", "links"]
+    assert [f.name for f in dataclasses.fields(ClassDef)] == ["name", "attributes"]
+    for cls in built_model.classes:
+        rebuilt = ClassDef(cls.name, cls.attributes[::-1])
+        assert rebuilt == cls
+        assert hash(rebuilt) == hash(cls)
+        assert repr(rebuilt) == repr(cls) == f"ClassDef(name={cls.name!r}, attributes={cls.attributes!r})"
+        assert ClassDef(cls.name) != cls
     rebuilt_model = StructuralModel(
         built_model.name,
         built_model.classes[::-1],
