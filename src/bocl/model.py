@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import datetime
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -164,52 +165,76 @@ class LinkInstance:
     end2_object: ObjectInstance
 
 
+_NAME = operator.attrgetter("name")
+_LINK_KEY = operator.attrgetter("association.name", "end1_object.name", "end2_object.name", "name")
+
+
+class _Links:
+    """ObjectModel.links: sorted by association, end1 and end2 object names, then link
+    name. A loaded model holds (name, association, end1, end2) tuples instead, made
+    LinkInstances on first read; evaluation and conformance read only adjacency rows."""
+
+    def __get__(self, model: ObjectModel | None, owner: type | None = None) -> tuple:
+        if model is None:
+            return ()  # the field's default
+        links = model.__dict__["links"]  # read once: another thread may replace it
+        if type(links) is list:
+            links = tuple(sorted((LinkInstance(*link) for link in links), key=_LINK_KEY))
+            model.__dict__["links"] = links
+        return links
+
+    def __set__(self, model: ObjectModel, links) -> None:
+        model.__dict__["links"] = tuple(sorted(links, key=_LINK_KEY))
+
+
 @dataclass(frozen=True)
 class ObjectModel:
     name: str
     objects: tuple[ObjectInstance, ...] = ()
-    links: tuple[LinkInstance, ...] = ()
+    links: tuple[LinkInstance, ...] = _Links()
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "objects", tuple(sorted(self.objects, key=lambda o: o.name))
-        )
-        link_key = lambda l: (l.association.name, l.end1_object.name, l.end2_object.name, l.name)
-        object.__setattr__(self, "links", tuple(sorted(self.links, key=link_key)))
+        object.__setattr__(self, "objects", tuple(sorted(self.objects, key=lambda o: o.name)))
         # Lookup tables, built eagerly as in StructuralModel; the first object
-        # of a duplicate name wins. Adjacency maps an association name to the
-        # pair (toward end1, toward end2) of near object name -> far objects.
+        # of a duplicate name wins.
         by_name: dict[str, ObjectInstance] = {}
         by_class: dict[str, list[ObjectInstance]] = {}
         for obj in self.objects:
             by_name.setdefault(obj.name, obj)
             by_class.setdefault(obj.classifier.name, []).append(obj)
-        adjacency: dict[str, tuple[dict, dict]] = {}
-        for link in self.links:
-            if link.association.name not in adjacency:
-                adjacency[link.association.name] = ({}, {})
-            toward_end1, toward_end2 = adjacency[link.association.name]
-            _adjoin(toward_end1, link.end2_object, link.end1_object)
-            _adjoin(toward_end2, link.end1_object, link.end2_object)
         object.__setattr__(self, "_objects", by_name)
         object.__setattr__(self, "_instances", by_class)
-        object.__setattr__(self, "_adjacency", adjacency)
+        object.__setattr__(self, "_adjacency", _adjacency(
+            (l.name, l.association, l.end1_object, l.end2_object) for l in self.links))
+
+    @classmethod
+    def _wired(cls, name: str, objects: tuple[ObjectInstance, ...], links: list) -> ObjectModel:
+        """The model over links as (name, association, end1, end2) tuples, checked by the loader."""
+        model = cls(name, objects)
+        model.__dict__.update(links=links, _adjacency=_adjacency(links))
+        return model
 
     def object_named(self, name: str) -> ObjectInstance | None:
         return self._objects.get(name)
 
 
-def _adjoin(
-    rows: dict[str, list[ObjectInstance]], near: ObjectInstance, far: ObjectInstance
-) -> None:
-    # Links come sorted by (association, end1 name, end2 name), so one near
-    # object's far objects come sorted by name with repeats adjacent; the
-    # last link to a repeated name wins.
-    row = rows.setdefault(near.name, [])
-    if row and row[-1].name == far.name:
-        row[-1] = far
-    else:
-        row.append(far)
+def _adjacency(links) -> dict[str, tuple[dict, dict]]:
+    """Association name -> (toward end1, toward end2), each a dict from near object
+    name to the distinct far objects sorted by name, from (name, association, end1,
+    end2) links; of two far objects of one name, the later link's wins."""
+    adjacency: dict[str, tuple[dict, dict]] = {}
+    for _, assoc, end1, end2 in links:
+        if assoc.name not in adjacency:
+            adjacency[assoc.name] = ({}, {})
+        toward_end1, toward_end2 = adjacency[assoc.name]
+        toward_end1.setdefault(end2.name, []).append(end1)
+        toward_end2.setdefault(end1.name, []).append(end2)
+    for rows in (rows for toward in adjacency.values() for rows in toward):
+        for row in rows.values():
+            if len(row) > 1:
+                row.sort(key=_NAME)
+                row[:] = dict(zip(map(_NAME, row), row)).values()
+    return adjacency
 
 
 # ---------- Diagnostics ----------
@@ -351,8 +376,10 @@ def validate_conformance(
     """Check that an object model instantiates the structural model.
 
     Structural mismatches (unknown class, a slot of the wrong type or out
-    of range, bad link ends) are errors; multiplicity-count violations are
-    warnings only. This is the one place that checks slot values.
+    of range, a link end object of the wrong class) are errors;
+    multiplicity-count violations are warnings only. This is the one place
+    that checks slot values. Only the loader checks that a link's
+    association and end objects exist.
     """
     diags: list[ModelDiagnostic] = []
 
@@ -402,38 +429,33 @@ def validate_conformance(
                 message = f"slot {problem}: {detail} {tail}"
             diags.append(_error(f"objects[{obj.name}].slots[{slot_name}]", message))
 
-    for link in objects.links:
-        assoc = link.association
-        model_assoc = model.association_named(assoc.name)
-        if model_assoc is None or (model_assoc is not assoc and model_assoc != assoc):
-            diags.append(_error(f"links[{link.name}]", f"unknown association '{assoc.name}'"))
-            continue
-        ends = (("end1", assoc.end1, link.end1_object), ("end2", assoc.end2, link.end2_object))
-        for label, end, obj in ends:
-            known = objects.object_named(obj.name)
-            if known is not obj and known != obj:
-                message = f"object '{obj.name}' is not in the object model"
-            elif obj.classifier.name != end.target.name:
-                message = (
-                    f"object '{obj.name}' is a {obj.classifier.name}, "
-                    f"end '{end.role}' expects {end.target.name}"
-                )
-            else:
+    # Per class name: (role, far end, rows toward that end), in role order.
+    ends_of = {
+        name: [(role, ends[role][1], _far_rows(objects, *ends[role])) for role in sorted(ends)]
+        for name, ends in model._roles.items()
+    }
+    # The rows show whether a link end object has the wrong class; the links
+    # are walked only to name each one.
+    if diags or any(far.classifier.name != end.target.name for ends in ends_of.values()
+                    for _, end, rows in ends for row in rows.values() for far in row):
+        for link in objects.links:
+            assoc = model.association_named(link.association.name)
+            if assoc is None:
                 continue
-            diags.append(_error(f"links[{link.name}].{label}", message))
+            for label, end, obj in (("end1", assoc.end1, link.end1_object),
+                                    ("end2", assoc.end2, link.end2_object)):
+                if obj.classifier.name != end.target.name:
+                    message = (f"object '{obj.name}' is a {obj.classifier.name}, "
+                               f"end '{end.role}' expects {end.target.name}")
+                    diags.append(_error(f"links[{link.name}].{label}", message))
 
     if any(d.severity is Severity.ERROR for d in diags):
         return diags
 
     # Counts are advisory: partially populated scenarios stay loadable.
-    # Per class name: (role, far-object rows, multiplicity), in role order.
-    ends_of = {
-        name: [(role, _far_rows(objects, *ends[role]), ends[role][1].multiplicity)
-               for role in sorted(ends)] for name, ends in model._roles.items()
-    }
     for obj in objects.objects:
-        for role, rows, mult in ends_of.get(obj.classifier.name, ()):
-            count = len(rows.get(obj.name, ()))
+        for role, end, rows in ends_of.get(obj.classifier.name, ()):
+            count, mult = len(rows.get(obj.name, ())), end.multiplicity
             if count < mult.lower or (mult.upper is not None and count > mult.upper):
                 message = f"{count} object(s) linked via '{role}', multiplicity is {mult}"
                 diags.append(_warning(f"objects[{obj.name}]", message))
@@ -468,7 +490,4 @@ def navigate(
 
 def _far_rows(objects: ObjectModel, assoc: BinaryAssociation, end: AssociationEnd) -> dict:
     """Near object name -> far objects toward end: the table, not a copy."""
-    toward = objects._adjacency.get(assoc.name)
-    if toward is None:
-        return {}
-    return toward[0 if end is assoc.end1 else 1]
+    return objects._adjacency.get(assoc.name, ({}, {}))[0 if end is assoc.end1 else 1]

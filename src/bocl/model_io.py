@@ -35,7 +35,6 @@ from .model import (
     BinaryAssociation,
     ClassDef,
     ConstraintDef,
-    LinkInstance,
     ModelDiagnostic,
     Multiplicity,
     ObjectInstance,
@@ -326,14 +325,9 @@ def _decode_slot(value: object, target: type, index: int, attr_name: str) -> obj
 
 def _check_record(record: object, required: frozenset, allowed: frozenset, strings: tuple,
                   where: str, *at: int) -> None:
-    """Raise IoError Malformed if record is not an object, lacks a key or has an unknown
-    one, or has a non-string value under strings. Its path is where.format(*at)."""
-    if isinstance(record, dict) and required <= record.keys() <= allowed:
-        for key in strings:
-            if not isinstance(record[key], str):
-                break
-        else:
-            return
+    """Raise IoError Malformed for a record that failed the loader's inline quick test:
+    it is not an object, lacks a key or has an unknown one, or has a non-string value
+    under strings. Its path is where.format(*at), formatted only here."""
     where = where.format(*at)
     _check_keys(record, required, allowed - required, where)
     for key in strings:
@@ -377,38 +371,41 @@ def objects_from_document(doc: dict, model: StructuralModel) -> ObjectModel:
 
     # A duplicated name means its first object, the one ObjectModel indexes.
     obj_by_name = {obj.name: obj for obj in reversed(objects)}
+    # Per association name: the association, and the end index of each role.
+    wiring = {assoc_name: (assoc, {assoc.end1.role: 0, assoc.end2.role: 1})
+              for assoc_name, assoc in model._associations.items()}
 
     links = []
     for i, raw in enumerate(_list_field(doc, "links", "objects document")):
-        _check_record(raw, _LINK_REQUIRED, _LINK_KEYS, ("association",), "links[{}]", i)
+        if not (isinstance(raw, dict) and raw.keys() <= _LINK_KEYS and "ends" in raw
+                and isinstance(raw.get("association"), str)):  # the hot case, inline
+            _check_record(raw, _LINK_REQUIRED, _LINK_KEYS, ("association",), "links[{}]", i)
         assoc_name = raw["association"]
-        assoc = model.association_named(assoc_name)
-        if assoc is None:
+        if assoc_name not in wiring:
             raise _conformance(f"links[{i}]: unknown association {assoc_name!r}")
+        assoc, index = wiring[assoc_name]
         ends_raw = raw["ends"]
         if not isinstance(ends_raw, list) or len(ends_raw) != 2:
             raise _malformed(f"links[{i}].ends must be an array of exactly two ends")
-        roles = (assoc.end1.role, assoc.end2.role)
-        by_role: dict[str, ObjectInstance] = {}
+        ends = [None, None]
         for j, end in enumerate(ends_raw):
-            _check_record(end, _END_KEYS, _END_KEYS, ("role", "object"), "links[{}].ends[{}]", i, j)
-            role, target_name = end["role"], end["object"]
-            if role not in roles:
-                raise _conformance(
-                    f"links[{i}].ends[{j}]: association '{assoc_name}' has no role {role!r}"
-                )
-            if role in by_role:
-                raise _conformance(f"links[{i}].ends[{j}]: duplicate role {role!r}")
-            target = obj_by_name.get(target_name)
-            if target is None:
-                raise _conformance(f"links[{i}].ends[{j}]: unknown object {target_name!r}")
-            by_role[role] = target
+            if not (isinstance(end, dict) and end.keys() == _END_KEYS
+                    and isinstance(end["role"], str) and isinstance(end["object"], str)):
+                _check_record(end, _END_KEYS, _END_KEYS, ("role", "object"),
+                              "links[{}].ends[{}]", i, j)
+            k = index.get(end["role"])
+            if k is None or ends[k] is not None:
+                what = f"association '{assoc_name}' has no" if k is None else "duplicate"
+                raise _conformance(f"links[{i}].ends[{j}]: {what} role {end['role']!r}")
+            ends[k] = obj_by_name.get(end["object"])
+            if ends[k] is None:
+                raise _conformance(f"links[{i}].ends[{j}]: unknown object {end['object']!r}")
         link_name = raw["name"] if "name" in raw else f"{assoc_name}_{i}"
         if not isinstance(link_name, str):
             raise _malformed(f"links[{i}].name must be a string")
-        links.append(LinkInstance(link_name, assoc, by_role[roles[0]], by_role[roles[1]]))
+        links.append((link_name, assoc, ends[0], ends[1]))
 
-    return ObjectModel(name, tuple(objects), tuple(links))
+    return ObjectModel._wired(name, tuple(objects), links)
 
 
 def objects_to_document(objects: ObjectModel) -> dict:
@@ -474,24 +471,6 @@ def _verdict_text(verdict) -> str:
     return verdict.overall.value
 
 
-def report_to_document(report: EvaluationReport) -> dict:
-    results = []
-    for result in report.results:
-        verdict = result.verdict
-        entry = {
-            "name": verdict.constraint_name,
-            "expression": result.expression,
-            "overall": verdict.overall.value,
-            "perInstance": [
-                {"object": obj, "holds": holds} for obj, holds in verdict.per_instance
-            ],
-        }
-        if verdict.overall is VerdictKind.ERROR:
-            entry["error"] = verdict.error_message
-        results.append(entry)
-    return {"results": results}
-
-
 def write_report(report: EvaluationReport, format: ReportFormat, sink: IO[str]) -> None:
     """Write the report: one 'Invariant:<text>:<verdict>' line per
     constraint in text mode, a {"results": [...]} document in JSON mode."""
@@ -499,8 +478,8 @@ def write_report(report: EvaluationReport, format: ReportFormat, sink: IO[str]) 
         for result in report.results:
             sink.write(f"Invariant:{result.expression}:{_verdict_text(result.verdict)}\n")
         return
-    # json.dump(report_to_document(report), sink, indent=2) runs the
-    # pure-Python encoder; this writes the same bytes, a result at a time.
+    # json.dump of the whole document with indent=2 runs the pure-Python
+    # encoder; this writes the same bytes, a result at a time.
     string = json.encoder.encode_basestring_ascii
     sink.write('{\n  "results": [')
     for index, result in enumerate(report.results):

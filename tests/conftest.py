@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from bocl.evaluator import EvaluationReport, VerdictKind
 from bocl.model import (
     AssociationEnd,
     Attribute,
@@ -147,3 +148,23 @@ def objects_doc() -> dict:
 @pytest.fixture
 def model_doc() -> dict:
     return json.loads(MODEL_PATH.read_text(encoding="utf-8"))
+
+
+def report_to_document(report: EvaluationReport) -> dict:
+    """The JSON report as a document: write_report must write the bytes of
+    json.dump(report_to_document(report), sink, indent=2) and a newline."""
+    results = []
+    for result in report.results:
+        verdict = result.verdict
+        entry = {
+            "name": verdict.constraint_name,
+            "expression": result.expression,
+            "overall": verdict.overall.value,
+            "perInstance": [
+                {"object": obj, "holds": holds} for obj, holds in verdict.per_instance
+            ],
+        }
+        if verdict.overall is VerdictKind.ERROR:
+            entry["error"] = verdict.error_message
+        results.append(entry)
+    return {"results": results}

@@ -33,11 +33,10 @@ from bocl.model import (
     PrimitiveType,
     StructuralModel,
 )
-from bocl.model_io import report_to_document
 from bocl.parser import parse_constraint
 from bocl.resolver import ResolutionFailure, TypedConstraint, resolve
 
-from conftest import build_library_objects
+from conftest import build_library_objects, report_to_document
 from generators import (
     gen_total_predicate,
     gen_typed_constraint,

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bocl.cli import main
 from bocl.evaluator import (
     ConstraintResult,
     ConstraintVerdict,
@@ -16,7 +17,7 @@ from bocl.evaluator import (
     VerdictKind,
     evaluate_all,
 )
-from bocl.model import PrimitiveType, Severity
+from bocl.model import PrimitiveType, Severity, navigate
 from bocl.model_io import (
     IoError,
     IoErrorKind,
@@ -24,15 +25,17 @@ from bocl.model_io import (
     load_objects,
     load_structural,
     objects_from_document,
-    report_to_document,
+    objects_to_document,
     save_objects,
     save_structural,
     structural_from_document,
+    structural_to_document,
     write_report,
 )
 
-from conftest import MODEL_PATH, OBJECTS_PATH
+from conftest import MODEL_PATH, OBJECTS_PATH, report_to_document
 from generators import make_random_model, make_random_objects
+from reference_load import RefLoaded, RefLoadError, reference_load
 
 
 def test_load_golden_model(library_model):
@@ -364,6 +367,17 @@ LOADER_MESSAGES = [
      "Conformance: links[1].ends[1]: unknown object 'ghost'"),
     ("link-end-class-mismatch", _set(_END + (0, "object"), "author_obj"),
      f"Conformance: {_MISMATCH}"),
+    ("link-not-object", _set(("links", 1), []), "Malformed: links[1] must be an object"),
+    ("unknown-association", _set(("links", 1, "association"), "shelf"),
+     "Conformance: links[1]: unknown association 'shelf'"),
+    ("one-end", _drop(_END + (1,)),
+     "Malformed: links[1].ends must be an array of exactly two ends"),
+    ("duplicate-first-role", _set(_END + (1, "role"), "locatedIn"),
+     "Conformance: links[1].ends[1]: duplicate role 'locatedIn'"),
+    ("duplicate-second-role", _set(_END + (0, "role"), "contains"),
+     "Conformance: links[1].ends[1]: duplicate role 'contains'"),
+    ("link-name-not-string", _set(("links", 1, "name"), 4),
+     "Malformed: links[1].name must be a string"),
     # Two bad slots: decoding stops at the first in document order, and
     # conformance lists every problem in slot order.
     ("two-bad-dates", _set(_B1_SLOTS, {"release": "2021-13-01", "acquired": "today"}),
@@ -486,7 +500,7 @@ def _node_paths(node, prefix=()):
         yield from _node_paths(child, prefix + (key,))
 
 
-def _mutate(data, doc):
+def _mutate(data, doc, pool=_FUZZ_POOL):
     """Delete one to three nodes of doc or replace them from the pool."""
     doc = copy.deepcopy(doc)
     for _ in range(data.draw(st.integers(1, 3))):
@@ -500,7 +514,7 @@ def _mutate(data, doc):
         if data.draw(st.booleans()):
             del parent[key]
         else:
-            parent[key] = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_POOL)))
+            parent[key] = copy.deepcopy(data.draw(st.sampled_from(pool)))
     return doc
 
 
@@ -526,6 +540,122 @@ def test_loaders_raise_only_io_error(fuzz_dir, data):
         load_objects(objects_path, load_structural(model_path))
     except IoError:
         pass
+
+
+# -- the loader against an independent reading of its rules --
+
+# Slot values at the edges of each attribute type, and for the rest of a
+# document also the generated scenarios' own names.
+_SLOT_POOL = [
+    None, True, 1.5, 10**400, "", "2020-02-30", "2021-02-28",
+    2**63 - 1, 2**63, -(2**63), -(2**63) - 1,
+]
+_SCENARIO_POOL = _SLOT_POOL + [[], {}, "A", "B", "ab", "owner", "items", "a0", "a1", "b0", "b1"]
+
+
+def _typed(slots):
+    return [(key, type(value), value) for key, value in slots.items()]
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(data=st.data())
+def test_loader_agrees_with_reference(fuzz_dir, data):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    model = make_random_model(rng)
+    doc = objects_to_document(make_random_objects(rng, model, max_objects=rng.randint(2, 6)))
+    doc["links"] += rng.sample(doc["links"], rng.randint(0, min(2, len(doc["links"]))))
+    rng.shuffle(doc["links"])
+    # Mutate the whole document or one part of it, so that more mutants
+    # reach the checks on that part.
+    part = data.draw(st.sampled_from([None, "document", "objects", "links", "slots"]))
+    if part == "document":
+        doc = _mutate(data, doc, _SCENARIO_POOL)
+    elif part == "slots" and doc["objects"]:
+        record = data.draw(st.sampled_from(doc["objects"]))
+        record["slots"] = _mutate(data, record["slots"], _SLOT_POOL)
+    elif part in ("objects", "links"):
+        doc[part] = _mutate(data, doc[part], _SCENARIO_POOL)
+    path = fuzz_dir / "o.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    expected = reference_load(json.loads(path.read_text(encoding="utf-8")), model)
+    try:
+        objects, warnings = load_objects(path, model)
+    except IoError as error:
+        assert isinstance(expected, RefLoadError), f"only the loader rejects: {error}"
+        assert str(error) == f"{expected.kind}: {expected.message}"
+        return
+    assert isinstance(expected, RefLoaded), f"only the reference rejects: {expected}"
+    assert [(name, cls, _typed(slots)) for name, cls, slots in expected.objects] == [
+        (o.name, o.classifier.name, _typed(o.slots)) for o in objects.objects
+    ]
+    assert expected.adjacency == {
+        (o.name, role): [far.name for far in navigate(objects, o, role, model)]
+        for o in objects.objects for role in model.navigable_ends(o.classifier)
+    }
+    assert expected.warnings == [str(w) for w in warnings]
+
+
+# -- link order and repeated links --
+
+_SCENARIO_CONSTRAINTS = [
+    {"name": "owned", "context": "B", "expression": "context B inv owned: self.owner.i1 > -3"},
+    {"name": "items", "context": "A",
+     "expression": "context A inv items: "
+                   "self.items->forAll(b | b.i2 >= 0) and self.items->size() < 3"},
+]
+
+
+def _scenario_documents(tmp_path, seed):
+    """Generated scenarios with constraints: (model path, model, objects document)."""
+    rng = random.Random(seed)
+    for i in range(15):
+        model = make_random_model(rng)
+        model_doc = dict(structural_to_document(model), constraints=_SCENARIO_CONSTRAINTS)
+        model_path = tmp_path / f"m{i}.json"
+        model_path.write_text(json.dumps(model_doc), encoding="utf-8")
+        model = load_structural(model_path)
+        objects = make_random_objects(rng, model, max_objects=rng.randint(2, 6))
+        yield model_path, model, objects_to_document(objects), rng
+
+
+def _link_outputs(tmp_path, capsys, model_path, model, doc):
+    """What a load of doc shows: its adjacency rows, the bytes save_objects
+    writes, and the exit code, stdout and stderr of `bocl eval` in text and JSON."""
+    path = tmp_path / "o.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    objects, _ = load_objects(path, model)
+    rows = {(o.name, role): [far.name for far in navigate(objects, o, role, model)]
+            for o in objects.objects for role in model.navigable_ends(o.classifier)}
+    save_objects(objects, tmp_path / "saved.json")
+    reports = []
+    for fmt in ("text", "json"):
+        code = main(["eval", str(model_path), str(path), "--format", fmt])
+        reports.append((code, *capsys.readouterr()))
+    return rows, (tmp_path / "saved.json").read_bytes(), reports
+
+
+def test_link_order_does_not_matter(tmp_path, capsys):
+    for model_path, model, doc, rng in _scenario_documents(tmp_path, 5):
+        expected = _link_outputs(tmp_path, capsys, model_path, model, doc)
+        assert expected[2][0][1]  # the text report is not empty
+        for _ in range(3):
+            rng.shuffle(doc["links"])
+            assert _link_outputs(tmp_path, capsys, model_path, model, doc) == expected
+
+
+def test_repeated_link_changes_no_row_or_report(tmp_path, capsys):
+    for model_path, model, doc, rng in _scenario_documents(tmp_path, 6):
+        if not doc["links"]:
+            continue
+        rows, saved, reports = _link_outputs(tmp_path, capsys, model_path, model, doc)
+        repeat = copy.deepcopy(rng.choice(doc["links"]))
+        doc["links"].append(repeat)
+        got = _link_outputs(tmp_path, capsys, model_path, model, doc)
+        assert (got[0], got[2]) == (rows, reports)
+        # save_objects keeps both copies, wherever the repeat sits.
+        assert json.loads(got[1])["links"].count(repeat) == 2
+        doc["links"].insert(0, doc["links"].pop())
+        assert _link_outputs(tmp_path, capsys, model_path, model, doc)[1] == got[1]
 
 
 # -- reports --

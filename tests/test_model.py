@@ -163,15 +163,20 @@ def test_link_end_class_mismatch(built_model):
     assert any("expects Library" in d.message for d in diags)
 
 
-def test_link_to_missing_object(built_model):
+def test_link_to_missing_object_is_left_to_the_loader(built_model):
+    # Only the loader checks that a link's association and end objects exist;
+    # validate_conformance checks the end objects' classes.
     lib_book = next(a for a in built_model.associations if a.name == "lib_book_assoc")
     library = built_model.class_named("Library")
     book = built_model.class_named("Book")
     ghost = ObjectInstance("ghost", library, {})
     b = ObjectInstance("b", book, {})
-    link = LinkInstance("l", lib_book, ghost, b)
-    diags = validate_conformance(ObjectModel("m", (b,), (link,)), built_model)
-    assert any("not in the object model" in d.message for d in diags)
+    foreign = BinaryAssociation("foreign", lib_book.end1, lib_book.end2)
+    for link in (LinkInstance("l", lib_book, ghost, b), LinkInstance("l", foreign, b, b)):
+        diags = validate_conformance(ObjectModel("m", (b,), (link,)), built_model)
+        assert all(d.severity is Severity.WARNING for d in diags)
+    objects = ObjectModel("m", (b,), (LinkInstance("l", lib_book, ghost, b),))
+    assert navigate(objects, b, "locatedIn", built_model) == [ghost]
 
 
 # -- queries --

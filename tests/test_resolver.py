@@ -1,5 +1,16 @@
 import pytest
 
+from bocl.ast import (
+    MAX_DEPTH,
+    BooleanLiteralExp,
+    ConstraintAst,
+    Stereotype,
+    UnaryExp,
+    UnaryOperator,
+    expr_from_json,
+    expr_to_json,
+)
+from bocl.evaluator import VerdictKind, evaluate_constraint
 from bocl.parser import parse_constraint
 from bocl.resolver import (
     ResolutionErrorKind,
@@ -229,3 +240,17 @@ def test_nested_iterator_variables_visible(built_model):
         "self.contains->exists(c | b.pages <= c.pages))",
     )
     assert typed.body.type.kind is TypeKind.BOOL
+
+
+def test_resolve_leaves_the_depth_limit_to_the_tree_makers(built_model, built_objects):
+    # The parser and expr_from_json keep trees within MAX_DEPTH; resolve does
+    # not check it, so a hand-built tree one level deeper resolves as it is.
+    body = BooleanLiteralExp(True)
+    for _ in range(MAX_DEPTH + 1):
+        body = UnaryExp(UnaryOperator.NOT, body)
+    ast = ConstraintAst("Book", Stereotype.INV, "deep", body)
+    with pytest.raises(ValueError, match="nests too deeply"):
+        expr_from_json(expr_to_json(body))
+    typed = resolve(ast, built_model)
+    assert typed.body.type.kind is TypeKind.BOOL
+    assert evaluate_constraint(typed, built_objects).overall is VerdictKind.FALSE
