@@ -55,68 +55,68 @@ class CollectionOp(Enum):
 
 
 class Expr:
-    """Base class for all expression nodes."""
+    """Base class of the expression nodes: slotted records that nothing mutates."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SelfExp(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PropertyExp(Expr):
     source: Expr
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VariableExp(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IntegerLiteralExp(Expr):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RealLiteralExp(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StringLiteralExp(Expr):
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BooleanLiteralExp(Expr):
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class OperationCallExp(Expr):
     op: InfixOperator
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class UnaryExp(Expr):
     op: UnaryOperator
     operand: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IfExp(Expr):
     condition: Expr
     then_branch: Expr
     else_branch: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IteratorExp(Expr):
     source: Expr
     kind: IteratorKind
@@ -125,13 +125,13 @@ class IteratorExp(Expr):
     body: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CollectionOpExp(Expr):
     source: Expr
     op: CollectionOp
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ConstraintAst:
     context_class_name: str
     stereotype: Stereotype

@@ -150,7 +150,7 @@ class StructuralModel:
 
 # ---------- Object model ----------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ObjectInstance:
     name: str
     classifier: ClassDef

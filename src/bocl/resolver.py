@@ -131,7 +131,7 @@ class NavigationAccess:
     end: AssociationEnd  # the far end whose role was navigated
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TypedExpr:
     node: Expr
     type: OclType

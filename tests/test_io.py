@@ -658,6 +658,26 @@ def test_repeated_link_changes_no_row_or_report(tmp_path, capsys):
         assert _link_outputs(tmp_path, capsys, model_path, model, doc)[1] == got[1]
 
 
+def test_unnamed_links_are_named_by_position(tmp_path, capsys, objects_doc, library_model):
+    # A link without a name is named <association>_<position in links>, so
+    # reordering unnamed links renames them; no row or report changes.
+    for link in objects_doc["links"]:
+        del link["name"]
+    outputs, names = [], []
+    for links in (objects_doc["links"], objects_doc["links"][::-1]):
+        doc = dict(objects_doc, links=links)
+        outputs.append(_link_outputs(tmp_path, capsys, MODEL_PATH, library_model, doc))
+        loaded = objects_from_document(doc, library_model)
+        names.append(sorted((link.association.name, link.name) for link in loaded.links))
+    (rows, saved, reports), (rows_reversed, saved_reversed, reports_reversed) = outputs
+    assert rows_reversed == rows and reports_reversed == reports
+    assert saved_reversed != saved
+    assert names == [
+        [("book_author_assoc", "book_author_assoc_0"), ("lib_book_assoc", "lib_book_assoc_1")],
+        [("book_author_assoc", "book_author_assoc_1"), ("lib_book_assoc", "lib_book_assoc_0")],
+    ]
+
+
 # -- reports --
 
 def test_text_report_shape(library_model, library_objects):
