@@ -23,11 +23,7 @@ def cmd_check(model_path: str, emit_ast_dir: str | None = None) -> int:
         print(error, file=sys.stderr)
         return 2
 
-    emit_dir = None
-    if emit_ast_dir is not None:
-        emit_dir = Path(emit_ast_dir)
-        emit_dir.mkdir(parents=True, exist_ok=True)
-
+    emit_dir = None if emit_ast_dir is None else Path(emit_ast_dir)
     ok = True
     for con, typed in compile_model(model):
         if isinstance(typed, ParseError):
@@ -39,7 +35,12 @@ def cmd_check(model_path: str, emit_ast_dir: str | None = None) -> int:
             print(f"{con.name}: OK")
             if emit_dir is not None:
                 text = json.dumps(ast_to_json(typed.ast), indent=2) + "\n"
-                (emit_dir / f"{con.name}.json").write_text(text, encoding="utf-8")
+                try:
+                    emit_dir.mkdir(parents=True, exist_ok=True)
+                    (emit_dir / f"{con.name}.json").write_text(text, encoding="utf-8")
+                except OSError as error:
+                    print(f"cannot write --emit-ast output: {error}", file=sys.stderr)
+                    return 2
             continue
         ok = False
     return 0 if ok else 2
@@ -68,6 +69,9 @@ def cmd_eval(model_path: str, objects_path: str, format: ReportFormat) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Escape what the output encoding cannot hold; what it can is unchanged.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = argparse.ArgumentParser(
         prog="bocl",
         description="Check and evaluate OCL invariants over JSON models.",

@@ -1,12 +1,13 @@
-"""Evaluation of resolved constraints over an object model, through closures."""
+"""Evaluation of resolved constraints over an object model, through generated functions."""
 
 from __future__ import annotations
 
-import operator
+import ast
+import itertools
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain, compress
+from typing import NoReturn
 
 from .ast import (
     BooleanLiteralExp,
@@ -18,7 +19,6 @@ from .ast import (
     IteratorExp,
     IteratorKind,
     OperationCallExp,
-    PropertyExp,
     RealLiteralExp,
     SelfExp,
     StringLiteralExp,
@@ -27,7 +27,8 @@ from .ast import (
     VariableExp,
 )
 from .lexer import ParseError
-from .model import ConstraintDef, ObjectModel, StructuralModel, _far_rows, instances_of
+from .model import (
+    ConstraintDef, ObjectInstance, ObjectModel, StructuralModel, _far_rows, instances_of)
 from .parser import parse_constraint
 from .resolver import (
     AttributeAccess,
@@ -85,166 +86,162 @@ class EvaluationReport:
     results: tuple[ConstraintResult, ...]
 
 
-# ---------- Compilation to closures ----------
+# ---------- Compilation to one Python function ----------
 #
-# A resolved expression is compiled once into a closure f(scope) -> value
-# (Feeley & Lapalme, "Using closures for code generation", 1987), so the
-# type dispatch runs once per node, not once per node per instance. Values
-# are plain Python: bool, int, float, str, datetime.date, ObjectInstance,
-# and tuple for collections. The resolver has proved every operand's type,
-# so no value is checked again. Python's arithmetic gives the typing rules:
-# Int op Int stays int, / always gives float, and mixed operands promote.
+# A resolved body becomes one Python function that loops over the instances,
+# built from stdlib ast nodes, not source text. No name in it comes from the
+# input: iterator variables are _v<n>, temporaries _t<n> and adjacency rows
+# _r<n>; literals, slot keys and role names are constants. Values are plain
+# Python, with a list or tuple for collections, and the resolver has proved
+# every operand's type. Python's arithmetic gives the typing rules: Int op
+# Int stays int, / always gives float, and mixed operands promote.
 
-def _divide(dividend: object, divisor: object) -> object:
-    if divisor == 0:
-        raise DivisionByZeroError("division by zero")
-    return dividend / divisor
+def _slot(obj: ObjectInstance, attribute: str) -> object:
+    value = obj.slots.get(attribute)
+    if value is None:
+        raise MissingSlotError(f"object '{obj.name}' has no value for attribute '{attribute}'")
+    return value
 
 
-_BINARY = {
-    InfixOperator.EQ: operator.eq,
-    InfixOperator.NE: operator.ne,
-    InfixOperator.LT: operator.lt,
-    InfixOperator.GT: operator.gt,
-    InfixOperator.LE: operator.le,
-    InfixOperator.GE: operator.ge,
-    InfixOperator.ADD: operator.add,
-    InfixOperator.SUB: operator.sub,
-    InfixOperator.MUL: operator.mul,
-    InfixOperator.DIV: _divide,
+def _to_one(row: dict, obj: ObjectInstance, role: str) -> ObjectInstance:
+    linked = row.get(obj.name)
+    if not linked:
+        raise NavigationEmptyError(f"no object linked via '{role}' from '{obj.name}'")
+    return linked[0]
+
+
+def _zero_divisor() -> NoReturn:
+    raise DivisionByZeroError("division by zero")
+
+
+# A generated function's globals, besides its rows; it sees no other builtins.
+_HELPERS = {"__builtins__": {}, "all": all, "any": any, "len": len, "bool": bool,
+            "_slot": _slot, "_to_one": _to_one, "_zero_divisor": _zero_divisor}
+
+_OPERATORS = {
+    InfixOperator.AND: ast.And, InfixOperator.OR: ast.Or,
+    InfixOperator.EQ: ast.Eq, InfixOperator.NE: ast.NotEq, InfixOperator.LT: ast.Lt,
+    InfixOperator.GT: ast.Gt, InfixOperator.LE: ast.LtE, InfixOperator.GE: ast.GtE,
+    InfixOperator.ADD: ast.Add, InfixOperator.SUB: ast.Sub, InfixOperator.MUL: ast.Mult,
+    InfixOperator.DIV: ast.Div, UnaryOperator.NOT: ast.Not, UnaryOperator.NEG: ast.USub,
 }
-
-# Unary operators and collection operations: one operand each.
-_UNARY = {
-    UnaryOperator.NOT: operator.not_,
-    UnaryOperator.NEG: operator.neg,
-    CollectionOp.SIZE: len,
-    CollectionOp.IS_EMPTY: operator.not_,
-    CollectionOp.NOT_EMPTY: bool,
-}
-
-# Each iterator folds the source items and a lazy stream of body values,
-# so forAll and exists stop at the first value that decides them.
-_FOLDS = {
-    IteratorKind.FOR_ALL: lambda items, values: all(values),
-    IteratorKind.EXISTS: lambda items, values: any(values),
-    IteratorKind.SELECT: lambda items, values: tuple(compress(items, values)),
-    IteratorKind.REJECT: lambda items, values: tuple(
-        compress(items, map(operator.not_, values))
-    ),
-    IteratorKind.COLLECT: lambda items, values: tuple(values),
-}
-
-_UNBOUND = object()
+_LITERALS = (IntegerLiteralExp, RealLiteralExp, StringLiteralExp, BooleanLiteralExp)
+_LOAD, _STORE = ast.Load(), ast.Store()
 
 
-def _compile(typed: TypedExpr, objects: ObjectModel) -> Callable[[dict], object]:
-    """Compile one resolved expression into a closure over objects.
-
-    The closure takes the scope, a dict that maps "self" and each iterator
-    variable in force to its value, and raises EvalError subclasses.
-    """
-    node = typed.node
-    if isinstance(node, SelfExp):
-        return operator.itemgetter("self")
-    if isinstance(node, VariableExp):
-        return operator.itemgetter(node.name)
-    if isinstance(
-        node, (IntegerLiteralExp, RealLiteralExp, StringLiteralExp, BooleanLiteralExp)
-    ):
-        value = node.value
-        return lambda scope: value
-
-    parts = [_compile(child, objects) for child in typed.children]
-    if isinstance(node, OperationCallExp):
-        left, right = parts
-        # and/or are short-circuit, left to right.
-        if node.op is InfixOperator.AND:
-            return lambda scope: left(scope) and right(scope)
-        if node.op is InfixOperator.OR:
-            return lambda scope: left(scope) or right(scope)
-        function = _BINARY[node.op]
-        if typed.children[0].type.kind is TypeKind.OBJECT:
-            # Objects are equal when they are the same named object.
-            return lambda scope: function(left(scope).name, right(scope).name)
-        return lambda scope: function(left(scope), right(scope))
-
-    if isinstance(node, (UnaryExp, CollectionOpExp)):
-        function, operand = _UNARY[node.op], parts[0]
-        return lambda scope: function(operand(scope))
-
-    if isinstance(node, IfExp):
-        condition, then_branch, else_branch = parts
-        # Only the taken branch is evaluated.
-        return lambda scope: then_branch(scope) if condition(scope) else else_branch(scope)
-
-    if isinstance(node, IteratorExp):
-        source, body = parts
-        var = node.var_name
-        fold = _FOLDS[node.kind]
-        body_kind = typed.children[1].type.kind
-        if node.kind is IteratorKind.COLLECT and body_kind is TypeKind.COLLECTION:
-            # collect flattens collection-valued bodies one level.
-            fold = lambda items, values: tuple(chain.from_iterable(values))
-
-        def values(items: tuple, scope: dict) -> Iterator:
-            for item in items:
-                scope[var] = item
-                yield body(scope)
-
-        def iterate(scope: dict) -> object:
-            items = source(scope)
-            outer = scope.get(var, _UNBOUND)
-            try:
-                return fold(items, values(items, scope))
-            finally:
-                if outer is _UNBOUND:
-                    scope.pop(var, None)
-                else:
-                    scope[var] = outer
-        return iterate
-
-    if not isinstance(node, PropertyExp):
-        raise TypeError(f"not an expression node: {node!r}")
-    source, access = parts[0], typed.access
-    if isinstance(access, AttributeAccess):
-        attribute = access.attribute.name
-
-        def read_slot(scope: dict) -> object:
-            obj = source(scope)
-            value = obj.slots.get(attribute)
-            if value is None:
-                raise MissingSlotError(
-                    f"object '{obj.name}' has no value for attribute '{attribute}'"
-                )
-            return value
-        return read_slot
-
-    # The resolver picked this end from the model's role table, the one
-    # navigate() reads, so the adjacency row toward it is bound here once.
-    assoc, end = access.association, access.end
-    row = _far_rows(objects, assoc, end)
-    if end.multiplicity.upper != 1:
-        return lambda scope: tuple(row.get(source(scope).name, ()))
-
-    def navigate_to_one(scope: dict) -> object:
-        obj = source(scope)
-        linked = row.get(obj.name)
-        if not linked:
-            raise NavigationEmptyError(f"no object linked via '{end.role}' from '{obj.name}'")
-        return linked[0]
-    return navigate_to_one
+def _load(name: str) -> ast.Name:
+    return ast.Name(name, _LOAD)
 
 
-def evaluate_expr(
-    typed: TypedExpr, scope: dict[str, object], objects: ObjectModel, model: StructuralModel
-) -> object:
-    """Compile one resolved expression and evaluate it; raises EvalError subclasses.
+def _get(value: ast.expr, attribute: str) -> ast.Attribute:
+    return ast.Attribute(value, attribute, _LOAD)
 
-    scope maps "self" and each iterator variable in force to its value.
-    model is not read: the resolver has bound each navigation to its end.
-    """
-    return _compile(typed, objects)(scope)
+
+def _call(function: str | ast.expr, *args: ast.expr) -> ast.Call:
+    return ast.Call(_load(function) if isinstance(function, str) else function, list(args), [])
+
+
+def _generate(typed: TypedConstraint, objects: ObjectModel) -> Callable[[list, Callable], None]:
+    """The function f(instances, append) that appends (name, holds) for each
+    instance in turn; it raises EvalError subclasses."""
+    namespace = dict(_HELPERS)  # the function's globals
+    variables: list[tuple[str, str]] = []  # (OCL name, Python name), innermost last
+    count = itertools.count()
+
+    def expr(typed: TypedExpr, in_source: bool) -> ast.expr:
+        """typed as a Python expression. in_source: inside an iterator's
+        source, where Python rejects :=, so slots are read through a call."""
+        node = typed.node
+        if isinstance(node, SelfExp):
+            return _load("self")
+        if isinstance(node, VariableExp):
+            return _load(next(py for ocl, py in reversed(variables) if ocl == node.name))
+        if isinstance(node, _LITERALS):
+            return ast.Constant(node.value)
+        if isinstance(node, IteratorExp):
+            return iterator(typed, in_source)
+
+        parts = [expr(child, in_source) for child in typed.children]
+        if isinstance(node, UnaryExp):
+            return ast.UnaryOp(_OPERATORS[node.op](), parts[0])
+        if isinstance(node, OperationCallExp):
+            (left, right), op = parts, _OPERATORS[node.op]()
+            if isinstance(op, ast.boolop):
+                # and/or are short-circuit, left to right.
+                return ast.BoolOp(op, parts)
+            if isinstance(op, ast.cmpop):
+                if typed.children[0].type.kind is TypeKind.OBJECT:
+                    # Objects are equal when they are the same named object.
+                    left, right = _get(left, "name"), _get(right, "name")
+                return ast.Compare(left, [op], [right])
+            if isinstance(op, ast.Div):
+                # A zero divisor is falsy, so it gives way to a call that raises.
+                right = ast.BoolOp(ast.Or(), [right, _call("_zero_divisor")])
+            return ast.BinOp(left, op, right)
+        if isinstance(node, CollectionOpExp):
+            if node.op is CollectionOp.IS_EMPTY:
+                return ast.UnaryOp(ast.Not(), parts[0])
+            return _call("len" if node.op is CollectionOp.SIZE else "bool", parts[0])
+        if isinstance(node, IfExp):
+            # Only the taken branch is evaluated.
+            return ast.IfExp(*parts)
+
+        source, access = parts[0], typed.access
+        if isinstance(access, AttributeAccess):
+            key = ast.Constant(access.attribute.name)
+            if in_source:
+                return _call("_slot", source, key)
+            # (_t1 if (_t1 := obj.slots.get(key)) is not None else _slot(obj, key)),
+            # where obj is source, bound to _t0 unless it is a name.
+            again = source if isinstance(source, ast.Name) else _load(f"_t{next(count)}")
+            obj = source if again is source else ast.NamedExpr(ast.Name(again.id, _STORE), source)
+            value = f"_t{next(count)}"
+            read = ast.NamedExpr(ast.Name(value, _STORE), _call(_get(_get(obj, "slots"), "get"), key))
+            held = ast.Compare(read, [ast.IsNot()], [ast.Constant(None)])
+            return ast.IfExp(held, _load(value), _call("_slot", again, key))
+        # The resolver picked this end from the model's role table, the one
+        # navigate() reads, so the adjacency row toward it is bound here once.
+        row = f"_r{next(count)}"
+        namespace[row] = _far_rows(objects, access.association, access.end)
+        if access.end.multiplicity.upper == 1:
+            return _call("_to_one", _load(row), source, ast.Constant(access.end.role))
+        return _call(_get(_load(row), "get"), _get(source, "name"), ast.Constant(()))
+
+    def iterator(typed: TypedExpr, in_source: bool) -> ast.expr:
+        kind, var = typed.node.kind, f"_v{next(count)}"
+        source = expr(typed.children[0], True)
+        # collect flattens a collection-valued body one level, through a
+        # second loop, so that body is an iterator source too.
+        flatten = kind is IteratorKind.COLLECT and typed.children[1].type.kind is TypeKind.COLLECTION
+        variables.append((typed.node.var_name, var))
+        body = expr(typed.children[1], in_source or flatten)
+        variables.pop()
+        loops = [ast.comprehension(ast.Name(var, _STORE), source, [], 0)]
+        if kind is IteratorKind.FOR_ALL or kind is IteratorKind.EXISTS:
+            # all and any stop at the first body value that decides them.
+            function = "all" if kind is IteratorKind.FOR_ALL else "any"
+            return _call(function, ast.GeneratorExp(body, loops))
+        if kind is IteratorKind.SELECT or kind is IteratorKind.REJECT:
+            test = body if kind is IteratorKind.SELECT else ast.UnaryOp(ast.Not(), body)
+            loops[0].ifs.append(test)
+        elif not flatten:
+            return ast.ListComp(body, loops)
+        else:
+            var = f"_v{next(count)}"
+            loops.append(ast.comprehension(ast.Name(var, _STORE), body, [], 0))
+        return ast.ListComp(_load(var), loops)
+
+    # def _check(_instances, _append):
+    #     for self in _instances: _append((self.name, <body>))
+    holds = ast.Tuple([_get(_load("self"), "name"), expr(typed.body, False)], _LOAD)
+    check = ast.Expr(_call("_append", holds))
+    loop = ast.For(ast.Name("self", _STORE), _load("_instances"), [check], [])
+    parameters = ast.arguments([], [ast.arg("_instances"), ast.arg("_append")], None, [], [], None, [])
+    module = ast.Module([ast.FunctionDef("_check", parameters, [loop], [], type_params=[])], [])
+    for node in ast.walk(module):  # not ast.fix_missing_locations, which recurses per level
+        node.lineno, node.col_offset = 1, 0
+    exec(compile(module, "<bocl constraint>", "exec"), namespace)
+    return namespace.pop("_check")  # so the function and its globals go with the last reference
 
 
 # ---------- Constraint evaluation ----------
@@ -278,11 +275,10 @@ def evaluate_constraint(
     """
     if name is None:
         name = typed.ast.constraint_name or typed.ast.context_class_name
-    body = _compile(typed.body, objects)
+    check = _generate(typed, objects)
     per_instance: list[tuple[str, bool]] = []
     try:
-        for instance in instances_of(objects, typed.context_class):
-            per_instance.append((instance.name, body({"self": instance})))
+        check(instances_of(objects, typed.context_class), per_instance.append)
     except (EvalError, OverflowError) as error:
         return ConstraintVerdict(name, VerdictKind.ERROR, tuple(per_instance), str(error))
     ok = all(holds for _, holds in per_instance)

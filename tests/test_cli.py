@@ -86,6 +86,49 @@ def test_check_emit_ast(tmp_path, model_path, model_doc, capsys):
     assert ast_from_json(doc) == expected
 
 
+@pytest.mark.parametrize("blocked", ["directory", "file"])
+def test_check_emit_ast_unwritable_is_one_diagnostic(tmp_path, model_path, capsys, blocked):
+    out_dir = tmp_path / "out"
+    if blocked == "directory":
+        # A file where a directory should be: mkdir fails.
+        out_dir.write_text("")
+        out_dir = target = out_dir / "x"
+    else:
+        # A directory where the first AST file should be: the write fails.
+        target = out_dir / "BookPageNumber.json"
+        target.mkdir(parents=True)
+    code = main(["check", str(model_path), "--emit-ast", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "BookPageNumber: OK\n"
+    assert re.fullmatch(
+        rf"cannot write --emit-ast output: \[Errno \d+\] [^\n]*: '{re.escape(str(target))}'\n",
+        captured.err,
+    )
+
+
+def test_eval_escapes_text_the_output_encoding_cannot_hold(tmp_path, model_doc, objects_path):
+    expression = "context Book inv pageNumberInv: self.pages>0 and 'café' <> ''"
+    model_doc["constraints"][0]["expression"] = expression
+    path = write(tmp_path, "m.json", model_doc)
+    src = str(Path(bocl.__file__).resolve().parent.parent)
+    outputs = {}
+    for encoding in ("ascii", "utf-8"):
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            PYTHONIOENCODING=encoding,
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "bocl", "eval", path, str(objects_path)],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        outputs[encoding] = proc.stdout.splitlines()[0]
+    assert outputs["ascii"] == f"Invariant:{expression}:True".replace("é", "\\xe9").encode()
+    assert outputs["utf-8"] == f"Invariant:{expression}:True".encode()
+
+
 def test_check_missing_model(tmp_path, capsys):
     code = main(["check", str(tmp_path / "nope.json")])
     assert code == 2

@@ -1,5 +1,10 @@
+import dataclasses
+import itertools
 import json
 import random
+import re
+import sys
+import types
 
 import pytest
 
@@ -7,6 +12,7 @@ from bocl.ast import (
     CollectionOp,
     CollectionOpExp,
     ConstraintAst,
+    Expr,
     InfixOperator,
     IteratorExp,
     IteratorKind,
@@ -16,18 +22,24 @@ from bocl.ast import (
     Stereotype,
     UnaryExp,
     UnaryOperator,
+    VariableExp,
 )
 from bocl.evaluator import (
-    DivisionByZeroError,
     VerdictKind,
+    _generate,
     compile_model,
     evaluate_all,
     evaluate_constraint,
-    evaluate_expr,
 )
 from bocl.lexer import ParseError
 from bocl.model import (
+    AssociationEnd,
+    Attribute,
+    BinaryAssociation,
+    ClassDef,
     ConstraintDef,
+    LinkInstance,
+    Multiplicity,
     ObjectInstance,
     ObjectModel,
     PrimitiveType,
@@ -52,12 +64,11 @@ def run(model, objects, text, name=None):
 
 
 def eval_body(model, objects, text):
-    """Evaluate a constraint body with self bound to its single instance."""
-    typed = resolve(parse_constraint(text), model)
-    instance = next(
-        o for o in objects.objects if o.classifier.name == typed.context_class.name
-    )
-    return evaluate_expr(typed.body, {"self": instance}, objects, model)
+    """The body's value on the context class's single instance."""
+    verdict = run(model, objects, text)
+    assert verdict.overall is not VerdictKind.ERROR, verdict.error_message
+    [(_, holds)] = verdict.per_instance
+    return holds
 
 
 # -- shipped library corpus --
@@ -110,15 +121,14 @@ def test_collect_pages(built_model, built_objects):
         "context Library inv x: self.contains->collect(b | b.pages)->size() = 1",
     )
     assert value is True
-    typed = resolve(
-        parse_constraint("context Library inv x: self.contains->collect(b | b.pages)->size() = 1"),
+    # The collected pages are the Integer 20: Int arithmetic on them is exact
+    # past 2**53, where Real arithmetic would round.
+    assert eval_body(
         built_model,
-    )
-    library_obj = built_objects.object_named("library_obj")
-    collect = typed.body.children[0].children[0]
-    collected = evaluate_expr(collect, {"self": library_obj}, built_objects, built_model)
-    assert collected == (20,)
-    assert type(collected[0]) is int
+        built_objects,
+        "context Library inv x: self.contains->collect(b | b.pages)->forAll(p | "
+        "p = 20 and p + 9007199254740993 - 9007199254740992 = p + 1)",
+    ) is True
 
 
 def test_select_then_size_chain(built_model, built_objects):
@@ -172,8 +182,9 @@ def test_and_or_short_circuit(built_model, built_objects):
     assert eval_body(
         built_model, built_objects, "context Book inv v: true or 1/0 = 1"
     ) is True
-    with pytest.raises(DivisionByZeroError):
-        eval_body(built_model, built_objects, "context Book inv v: true and 1/0 = 1")
+    verdict = run(built_model, built_objects, "context Book inv v: true and 1/0 = 1")
+    assert verdict.overall is VerdictKind.ERROR
+    assert verdict.error_message == "division by zero"
 
 
 def test_vacuous_truth_with_no_instances(built_model):
@@ -225,21 +236,23 @@ def test_date_comparison(built_model, built_objects):
 
 def test_int_division_is_real(built_model, built_objects):
     assert eval_body(built_model, built_objects, "context Book inv v: 6 / 3 = 2.0") is True
-    typed = resolve(parse_constraint("context Book inv v: 6 / 3 = 2.0"), built_model)
-    division = typed.body.children[0]
-    book_obj = built_objects.object_named("book_obj")
-    value = evaluate_expr(division, {"self": book_obj}, built_objects, built_model)
-    assert type(value) is float
-    assert value == 2.0
+    assert eval_body(built_model, built_objects, "context Book inv v: 7 / 2 = 3.5") is True
+    # A Real quotient stays Real: adding 2**53 + 1 to it rounds.
+    assert eval_body(
+        built_model,
+        built_objects,
+        "context Book inv v: 6 / 3 + 9007199254740993 - 9007199254740992 = 3",
+    ) is False
 
 
 def test_int_arithmetic_stays_int(built_model, built_objects):
-    typed = resolve(parse_constraint("context Book inv v: 2 + 3 = 5"), built_model)
-    add = typed.body.children[0]
-    book_obj = built_objects.object_named("book_obj")
-    value = evaluate_expr(add, {"self": book_obj}, built_objects, built_model)
-    assert type(value) is int
-    assert value == 5
+    assert eval_body(built_model, built_objects, "context Book inv v: 2 + 3 = 5") is True
+    # Exact only in Int arithmetic: a Real sum would round past 2**53.
+    assert eval_body(
+        built_model,
+        built_objects,
+        "context Book inv v: 2 + 9007199254740993 - 9007199254740992 = 3",
+    ) is True
 
 
 def test_object_identity_comparison(built_model, built_objects):
@@ -253,19 +266,177 @@ def test_object_identity_comparison(built_model, built_objects):
 def test_iterator_restores_scope(built_model, built_objects):
     # The inner forAll over an empty collection shadows b; the outer b
     # must be bound again for b.pages afterwards.
-    text = (
+    assert eval_body(
+        built_model,
+        built_objects,
         "context Library inv v: self.contains->forAll(b | "
-        "self.contains->select(x | false)->forAll(b | false) and b.pages = 20)"
+        "self.contains->select(x | false)->forAll(b | false) and b.pages = 20)",
+    ) is True
+    # An inner b that ranges over other objects leaves the outer b as it was.
+    assert eval_body(
+        built_model,
+        built_objects,
+        "context Library inv v: self.contains->forAll(b | "
+        "self.contains->collect(b | b.locatedIn)->forAll(b | b.name = self.name) "
+        "and b.pages = 20)",
+    ) is True
+    assert eval_body(
+        built_model,
+        built_objects,
+        "context Library inv v: self.contains->select(x | false)->exists(b | true)",
+    ) is False
+
+
+# -- generated code: names and depth --
+
+# The message of each EvalError, by the reference evaluator's error kind.
+REFERENCE_ERRORS = {
+    "MissingSlot": "has no value for attribute",
+    "NavigationEmpty": "no object linked via",
+    "DivisionByZero": "division by zero",
+}
+
+
+def assert_matches_reference(ast, model, objects):
+    mine = evaluate_constraint(resolve(ast, model), objects)
+    ref = reference_verdict(ast, model, objects)
+    assert (mine.overall.value, mine.per_instance) == (ref.overall, ref.per_instance)
+    if ref.error_kind is not None:
+        assert REFERENCE_ERRORS[ref.error_kind] in mine.error_message
+    return mine
+
+
+def _keyword_model():
+    """Class, attribute and role names that are Python keywords and builtins."""
+    item = ClassDef(
+        "Item", (Attribute("class", PrimitiveType.INT), Attribute("lambda", PrimitiveType.STR))
     )
-    typed = resolve(parse_constraint(text), built_model)
-    library_obj = built_objects.object_named("library_obj")
-    scope = {"self": library_obj}
-    assert evaluate_expr(typed.body, scope, built_objects, built_model) is True
-    assert scope == {"self": library_obj}
-    empty = "context Library inv v: self.contains->select(x | false)->exists(b | true)"
-    typed = resolve(parse_constraint(empty), built_model)
-    assert evaluate_expr(typed.body, scope, built_objects, built_model) is False
-    assert scope == {"self": library_obj}
+    box = ClassDef("Box", (Attribute("len", PrimitiveType.INT), Attribute("None", PrimitiveType.BOOL)))
+    assoc = BinaryAssociation(
+        "lambda",
+        AssociationEnd("class", item, Multiplicity(1, 1)),
+        AssociationEnd("len", box, Multiplicity(0, None)),
+    )
+    model = StructuralModel("keywords", (item, box), (assoc,))
+    i1 = ObjectInstance("i1", item, {"class": 3, "lambda": "x"})
+    i2 = ObjectInstance("i2", item, {"class": 0, "lambda": ""})
+    b1 = ObjectInstance("b1", box, {"len": 2, "None": True})
+    b2 = ObjectInstance("b2", box, {"len": 0, "None": False})
+    b3 = ObjectInstance("b3", box, {"len": 5})
+    b4 = ObjectInstance("b4", box, {"len": 1, "None": False})  # linked to no Item
+    links = tuple(
+        LinkInstance(f"l{k}", assoc, owner, box_obj)
+        for k, (owner, box_obj) in enumerate([(i1, b1), (i1, b2), (i2, b3)])
+    )
+    return model, ObjectModel("keywords", (i1, i2, b1, b2, b3, b4), links)
+
+
+# Each reads A and B as iterator variables; the test renames them.
+KEYWORD_CONSTRAINTS = [
+    "context Item inv k: self.len->forAll(A | A.len >= 0 and self.len->exists(B | B.len = A.len))",
+    "context Item inv k: self.len->select(A | A.len > 0)->size() <= self.len->size()",
+    "context Item inv k: self.len->collect(A | A.len)->forAll(B | B * 2 >= B)",
+    "context Box inv k: self.class.lambda <> '' and self.class.class / (self.len + 1) >= 0",
+    "context Item inv k: self.len->forAll(A | A.class.len->notEmpty() and not A.None)",
+    "context Item inv k: self.len->collect(A | A.class.len)->reject(B | B.len / B.len > 0)->isEmpty()",
+    "context Item inv k: self.len->select(A | A.class.lambda = self.lambda)->forAll(B | B.class = self)",
+    "context Item inv k: self.len->reject(A | A.None)->collect(B | B.class)->forAll(A | A.class > 0)",
+    "context Item inv k: self.class - self.len->size() > 0 or self.lambda = 'x'",
+]
+
+# Python keywords and builtins, and each name the generator itself uses.
+KEYWORD_VARIABLES = [
+    "all", "any", "tuple", "len", "True", "None", "self", "bool", "_slot", "_to_one",
+    "_missing_slot", "_no_link", "_zero_divisor", "_v0", "_v1", "_t2", "_r3",
+    "_instances", "_append", "_check", "__builtins__", ".0",
+]
+
+# Every name the generated code may hold: its own vocabulary and the names
+# it numbers. None comes from the input.
+GENERATED_NAMES = {
+    "self", "name", "slots", "get", "_instances", "_append", "all", "any", "len", "bool",
+    "_slot", "_to_one", "_missing_slot", "_no_link", "_zero_divisor", ".0",
+}
+
+
+def _renamed(expr, names):
+    """expr with each iterator variable renamed through names."""
+    if isinstance(expr, VariableExp):
+        return VariableExp(names[expr.name])
+    if not isinstance(expr, Expr):
+        return expr
+    fields = {f.name: _renamed(getattr(expr, f.name), names) for f in dataclasses.fields(expr)}
+    if isinstance(expr, IteratorExp):
+        fields["var_name"] = names[expr.var_name]
+    return type(expr)(**fields)
+
+
+def _code_names(code):
+    names = {*code.co_names, *code.co_varnames, *code.co_cellvars, *code.co_freevars}
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _code_names(const)
+    return names
+
+
+@pytest.mark.parametrize("text", KEYWORD_CONSTRAINTS)
+def test_no_input_name_reaches_the_generated_code(text):
+    model, objects = _keyword_model()
+    parsed = parse_constraint(text)
+    overall = set()
+    for a, b in zip(KEYWORD_VARIABLES, KEYWORD_VARIABLES[1:] + KEYWORD_VARIABLES[:1]):
+        ast = dataclasses.replace(parsed, body=_renamed(parsed.body, {"A": a, "B": b}))
+        overall.add(assert_matches_reference(ast, model, objects).overall)
+        names = _code_names(_generate(resolve(ast, model), objects).__code__)
+        stray = {n for n in names - GENERATED_NAMES if not re.fullmatch(r"_[vtr]\d+", n)}
+        assert not stray, (text, a, b)
+    # The names change no verdict.
+    assert len(overall) == 1
+
+
+def _deepest(shape):
+    """The deepest constraint of shape that parses."""
+    for n in itertools.count(1):
+        try:
+            parse_constraint(shape(n + 1))
+        except ParseError:
+            return parse_constraint(shape(n))
+
+
+# context Book over the library objects: one book in one library.
+DEEP_SHAPES = {
+    "not": lambda n: "context Book inv d: " + "not " * n + "(self.pages > 0)",
+    "and": lambda n: "context Book inv d: " + " and ".join(["self.pages > 0"] * n),
+    "divide": lambda n: "context Book inv d: self.pages" + " / self.pages" * n + " > 0",
+    "divide_by_zero": lambda n: (
+        "context Book inv d: self.pages" + " / self.pages" * n + " / (self.pages - 20) > 0"
+    ),
+    "if": lambda n: (
+        "context Book inv d: " + "if self.pages > 0 then " * n + "self.title <> ''"
+        + " else false endif" * n
+    ),
+    "forAll": lambda n: (
+        "context Book inv d: " + "self.locatedIn.contains->forAll(b | " * n + "b.pages > 0"
+        + ")" * n
+    ),
+    "collect": lambda n: (
+        "context Book inv d: self.locatedIn.contains"
+        + "->collect(b | b.locatedIn.contains)" * n + "->forAll(b | b.pages > 0)"
+    ),
+    "select_slot_in_source": lambda n: (
+        "context Book inv d: self.locatedIn.contains"
+        + "->select(b | b.pages > 1 and b.locatedIn.name <> '')" * n
+        + "->forAll(c | c.pages > 1)"
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_deepest_constraint_matches_reference(built_model, built_objects, shape):
+    assert sys.getrecursionlimit() == 1000
+    ast = _deepest(DEEP_SHAPES[shape])
+    verdict = assert_matches_reference(ast, built_model, built_objects)
+    assert (verdict.overall is VerdictKind.ERROR) == (shape == "divide_by_zero")
 
 
 # -- whole-model evaluation --
