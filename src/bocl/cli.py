@@ -104,9 +104,11 @@ def main(argv: list[str] | None = None) -> int:
         else:
             code = cmd_eval(args.model, args.objects, ReportFormat(args.format))
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early. Point stdout at devnull so that
-        # the interpreter's flush at exit fails silently too.
+    except OSError as error:
+        # stdout failed: quietly if its reader closed it early, else in one
+        # line. Point stdout at devnull so that the flush at exit is silent too.
+        if not isinstance(error, BrokenPipeError):
+            print(f"cannot write output: {error}", file=sys.stderr)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 2

@@ -271,101 +271,93 @@ def _warning(path: str, message: str) -> ModelDiagnostic:
 
 # ---------- Validation ----------
 
+def _name_errors(path: str, kind: str, name: str, seen: set[str]) -> list[ModelDiagnostic]:
+    """The diagnostics of a name already in seen and of a name that is not an identifier."""
+    return [_error(path, message) for bad, message in (
+        (name in seen, f"duplicate {kind} name '{name}'"),
+        (not is_identifier(name), f"{kind} name '{name}' is not an identifier"),
+    ) if bad]
+
+
+def _association_errors(model: StructuralModel, assoc: BinaryAssociation,
+                        seen: set[str]) -> list[ModelDiagnostic]:
+    path = f"associations[{assoc.name}]"
+    diags = _name_errors(path, "association", assoc.name, seen)
+    for label, end in (("end1", assoc.end1), ("end2", assoc.end2)):
+        epath = f"{path}.{label}"
+        if not is_identifier(end.role):
+            diags.append(_error(epath, f"role '{end.role}' is not an identifier"))
+        mult, mpath = end.multiplicity, f"{epath}.multiplicity"
+        if mult.lower < 0:
+            diags.append(_error(mpath, f"negative lower bound {mult.lower}"))
+        if mult.upper is not None and mult.upper < 1:
+            diags.append(_error(mpath, f"upper bound {mult.upper} < 1"))
+        if mult.upper is not None and mult.lower > mult.upper:
+            diags.append(_error(mpath, f"lower > upper ({mult.lower} > {mult.upper})"))
+        if model.class_named(end.target.name) != end.target:
+            diags.append(_error(epath, f"end target '{end.target.name}' is not a model class"))
+    return diags
+
+
 def validate_structural(model: StructuralModel) -> list[ModelDiagnostic]:
     """Check the structural model's own invariants.
 
     Returns an empty list exactly when the model is well formed; every
-    finding here is Error severity.
+    finding here is Error severity. Only a record that fails its one inline
+    test is checked again in detail, and only then is its path formatted.
     """
     diags: list[ModelDiagnostic] = []
+    classes = model._classes
 
     seen_classes: set[str] = set()
     for cls in model.classes:
-        path = f"classes[{cls.name}]"
-        if cls.name in seen_classes:
-            diags.append(_error(path, f"duplicate class name '{cls.name}'"))
+        if cls.name in seen_classes or not is_identifier(cls.name):
+            diags += _name_errors(f"classes[{cls.name}]", "class", cls.name, seen_classes)
         seen_classes.add(cls.name)
-        if not is_identifier(cls.name):
-            diags.append(_error(path, f"class name '{cls.name}' is not an identifier"))
         seen_attrs: set[str] = set()
         for attr in cls.attributes:
-            apath = f"{path}.attributes[{attr.name}]"
-            if attr.name in seen_attrs:
-                diags.append(_error(apath, f"duplicate attribute name '{attr.name}'"))
+            if attr.name in seen_attrs or not is_identifier(attr.name):
+                path = f"classes[{cls.name}].attributes[{attr.name}]"
+                diags += _name_errors(path, "attribute", attr.name, seen_attrs)
             seen_attrs.add(attr.name)
-            if not is_identifier(attr.name):
-                diags.append(
-                    _error(apath, f"attribute name '{attr.name}' is not an identifier")
-                )
 
     seen_assocs: set[str] = set()
+    # Class name -> (role, association name) of each end navigable from it, in model order.
+    navigated: dict[str, list[tuple[str, str]]] = {}
     for assoc in model.associations:
-        path = f"associations[{assoc.name}]"
-        if assoc.name in seen_assocs:
-            diags.append(_error(path, f"duplicate association name '{assoc.name}'"))
+        if assoc.name in seen_assocs or not is_identifier(assoc.name) or not all(
+            is_identifier(end.role) and classes.get(end.target.name) is end.target
+            and (m := end.multiplicity).lower >= 0
+            and (m.upper is None or m.upper >= max(m.lower, 1))
+            for end in (assoc.end1, assoc.end2)
+        ):
+            diags += _association_errors(model, assoc, seen_assocs)
         seen_assocs.add(assoc.name)
-        if not is_identifier(assoc.name):
-            diags.append(
-                _error(path, f"association name '{assoc.name}' is not an identifier")
-            )
-        for label, end in (("end1", assoc.end1), ("end2", assoc.end2)):
-            epath = f"{path}.{label}"
-            if not is_identifier(end.role):
-                diags.append(_error(epath, f"role '{end.role}' is not an identifier"))
-            mult = end.multiplicity
-            if mult.lower < 0:
-                diags.append(
-                    _error(f"{epath}.multiplicity", f"negative lower bound {mult.lower}")
-                )
-            if mult.upper is not None and mult.upper < 1:
-                diags.append(
-                    _error(f"{epath}.multiplicity", f"upper bound {mult.upper} < 1")
-                )
-            if mult.upper is not None and mult.lower > mult.upper:
-                diags.append(
-                    _error(
-                        f"{epath}.multiplicity",
-                        f"lower > upper ({mult.lower} > {mult.upper})",
-                    )
-                )
-            if model.class_named(end.target.name) != end.target:
-                diags.append(
-                    _error(epath, f"end target '{end.target.name}' is not a model class")
-                )
+        for end, opposite in ((assoc.end1, assoc.end2), (assoc.end2, assoc.end1)):
+            navigated.setdefault(opposite.target.name, []).append((end.role, assoc.name))
 
-    # Role names must be unambiguous per navigating class.
+    # Role names must be unambiguous per navigating class: classes in name
+    # order, each with its ends in association order, end1 before end2.
     for cls in model.classes:
         seen_roles: set[str] = set()
-        for assoc in model.associations:
-            for end, opposite in ((assoc.end1, assoc.end2), (assoc.end2, assoc.end1)):
-                if opposite.target.name != cls.name:
-                    continue
-                if end.role in seen_roles:
-                    diags.append(
-                        _error(
-                            f"associations[{assoc.name}]",
-                            f"role '{end.role}' is ambiguous when navigating "
-                            f"from class '{cls.name}'",
-                        )
-                    )
-                seen_roles.add(end.role)
+        for role, assoc_name in navigated.get(cls.name, ()):
+            if role in seen_roles:
+                message = f"role '{role}' is ambiguous when navigating from class '{cls.name}'"
+                diags.append(_error(f"associations[{assoc_name}]", message))
+            seen_roles.add(role)
 
     seen_constraints: set[str] = set()
     for con in model.constraints:
-        path = f"constraints[{con.name}]"
-        if con.name in seen_constraints:
-            diags.append(_error(path, f"duplicate constraint name '{con.name}'"))
+        context = con.context_class
+        if (con.name in seen_constraints or not is_identifier(con.name)
+                or classes.get(context.name) is not context or con.language != "OCL"):
+            path = f"constraints[{con.name}]"
+            diags += _name_errors(path, "constraint", con.name, seen_constraints)
+            if model.class_named(context.name) != context:
+                diags.append(_error(path, f"context class '{context.name}' is not a model class"))
+            if con.language != "OCL":
+                diags.append(_error(path, f"unsupported constraint language '{con.language}'"))
         seen_constraints.add(con.name)
-        if not is_identifier(con.name):
-            diags.append(
-                _error(path, f"constraint name '{con.name}' is not an identifier")
-            )
-        if model.class_named(con.context_class.name) != con.context_class:
-            diags.append(
-                _error(path, f"context class '{con.context_class.name}' is not a model class")
-            )
-        if con.language != "OCL":
-            diags.append(_error(path, f"unsupported constraint language '{con.language}'"))
 
     return diags
 

@@ -56,6 +56,14 @@ _OBJECT_KEYS = _OBJECT_REQUIRED | {"slots"}
 _LINK_REQUIRED = frozenset({"association", "ends"})
 _LINK_KEYS = _LINK_REQUIRED | {"name"}
 _END_KEYS = frozenset({"role", "object"})
+_MODEL_KEYS = frozenset({"schemaVersion", "name", "classes", "associations", "constraints"})
+_CLASS_KEYS = frozenset({"name", "attributes"})
+_ATTRIBUTE_KEYS = frozenset({"name", "type"})
+_ASSOCIATION_KEYS = frozenset({"name", "ends"})
+_ASSOC_END_KEYS = frozenset({"role", "target", "multiplicity"})
+_MULTIPLICITY_KEYS = frozenset({"lower", "upper"})
+_CONSTRAINT_KEYS = frozenset({"name", "context", "expression", "language"})
+_TYPES = {ptype.value: ptype for ptype in PrimitiveType}
 _DECODED = (PrimitiveType.DATE, PrimitiveType.REAL)
 
 
@@ -150,46 +158,73 @@ def _list_field(record: dict, key: str, where: str) -> list:
     return value
 
 
+def _check_record(record: object, required: frozenset, allowed: frozenset, strings: tuple,
+                  where: str, *at: int) -> None:
+    """Raise IoError Malformed for a record that is not an object, lacks a key or has an
+    unknown one, or has a non-string value under strings. Its path is where.format(*at),
+    formatted only here: for a document, or for a record that failed its quick test."""
+    where = where.format(*at)
+    _check_keys(record, required, allowed - required, where)
+    for key in strings:  # an optional key may be absent
+        if not isinstance(record.get(key, ""), str):
+            raise _malformed(f"{where}.{key} must be a string")
+
+
 # ---------- Structural model ----------
 
-def _multiplicity_from_json(raw: object, where: str) -> Multiplicity:
-    _check_keys(raw, {"lower", "upper"}, set(), where)
-    lower = raw["lower"]
-    upper = raw["upper"]
-    if not isinstance(lower, int) or isinstance(lower, bool):
-        raise _malformed(f"{where}.lower must be an integer")
-    if upper == "*":
-        upper = None
-    elif not isinstance(upper, int) or isinstance(upper, bool):
-        raise _malformed(f'{where}.upper must be an integer or "*"')
-    return Multiplicity(lower, upper)
+def _class_error(raw: object, i: int) -> None:
+    """Raise the Malformed error of classes[i], if it has one: its keys, then each
+    attribute's keys, type and name, then its name, in the order the loader reads them."""
+    where = f"classes[{i}]"
+    _check_keys(raw, {"name"}, {"attributes"}, where)
+    for j, attribute in enumerate(_list_field(raw, "attributes", where)):
+        awhere = f"{where}.attributes[{j}]"
+        _check_record(attribute, _ATTRIBUTE_KEYS, _ATTRIBUTE_KEYS, ("type",), awhere)
+        if attribute["type"] not in _TYPES:
+            raise _malformed(f"{awhere}.type: unknown type {attribute['type']!r}")
+        _str_field(attribute, "name", awhere)
+    _str_field(raw, "name", where)
+
+
+def _association_error(raw: object, i: int) -> None:
+    """Raise the Malformed error of associations[i], if it has one: its keys and ends,
+    then each end's keys, target, role and multiplicity, then its name."""
+    where = f"associations[{i}]"
+    _check_keys(raw, {"name", "ends"}, set(), where)
+    if not isinstance(raw["ends"], list) or len(raw["ends"]) != 2:
+        raise _malformed(f"{where}.ends must be an array of exactly two ends")
+    for j, end in enumerate(raw["ends"]):
+        ewhere = f"{where}.ends[{j}]"
+        _check_record(end, _ASSOC_END_KEYS, _ASSOC_END_KEYS, ("target", "role"), ewhere)
+        mult = end["multiplicity"]
+        _check_record(mult, _MULTIPLICITY_KEYS, _MULTIPLICITY_KEYS, (), "{}.multiplicity", ewhere)
+        lower, upper = mult["lower"], mult["upper"]
+        if not isinstance(lower, int) or isinstance(lower, bool):
+            raise _malformed(f"{ewhere}.multiplicity.lower must be an integer")
+        if upper != "*" and (not isinstance(upper, int) or isinstance(upper, bool)):
+            raise _malformed(f'{ewhere}.multiplicity.upper must be an integer or "*"')
+    _str_field(raw, "name", where)
 
 
 def structural_from_document(doc: dict) -> StructuralModel:
-    """Build a StructuralModel from a parsed bocl-model/1 document."""
-    _check_keys(
-        doc,
-        {"schemaVersion", "name"},
-        {"classes", "associations", "constraints"},
-        "model document",
-    )
-    name = _str_field(doc, "name", "model document")
+    """Build a StructuralModel from a parsed bocl-model/1 document. Only a record
+    that fails its inline quick test is checked again, key by key, to word its error."""
+    _check_record(doc, {"schemaVersion", "name"}, _MODEL_KEYS, ("name",), "model document")
 
     classes = []
     for i, raw in enumerate(_list_field(doc, "classes", "model document")):
-        where = f"classes[{i}]"
-        _check_keys(raw, {"name"}, {"attributes"}, where)
+        if not (isinstance(raw, dict) and raw.keys() <= _CLASS_KEYS  # the hot case, inline
+                and isinstance(raw.get("name"), str)
+                and isinstance(raw.get("attributes", []), list)):
+            _class_error(raw, i)
         attrs = []
-        for j, araw in enumerate(_list_field(raw, "attributes", where)):
-            awhere = f"{where}.attributes[{j}]"
-            _check_keys(araw, {"name", "type"}, set(), awhere)
-            type_name = _str_field(araw, "type", awhere)
-            try:
-                ptype = PrimitiveType(type_name)
-            except ValueError:
-                raise _malformed(f"{awhere}.type: unknown type {type_name!r}") from None
-            attrs.append(Attribute(_str_field(araw, "name", awhere), ptype))
-        classes.append(ClassDef(_str_field(raw, "name", where), tuple(attrs)))
+        for araw in raw.get("attributes", ()):
+            if not (isinstance(araw, dict) and araw.keys() == _ATTRIBUTE_KEYS
+                    and isinstance(araw["type"], str) and araw["type"] in _TYPES
+                    and isinstance(araw["name"], str)):
+                _class_error(raw, i)
+            attrs.append(Attribute(araw["name"], _TYPES[araw["type"]]))
+        classes.append(ClassDef(raw["name"], tuple(attrs)))
 
     # An unknown class name gets a placeholder ClassDef; validate_structural
     # reports it as "not a model class". A duplicated name means its first
@@ -198,46 +233,38 @@ def structural_from_document(doc: dict) -> StructuralModel:
 
     associations = []
     for i, raw in enumerate(_list_field(doc, "associations", "model document")):
-        where = f"associations[{i}]"
-        _check_keys(raw, {"name", "ends"}, set(), where)
-        ends_raw = raw["ends"]
-        if not isinstance(ends_raw, list) or len(ends_raw) != 2:
-            raise _malformed(f"{where}.ends must be an array of exactly two ends")
+        if not (isinstance(raw, dict) and raw.keys() == _ASSOCIATION_KEYS  # the hot case, inline
+                and isinstance(raw["name"], str)
+                and isinstance(raw["ends"], list) and len(raw["ends"]) == 2):
+            _association_error(raw, i)
         ends = []
-        for j, eraw in enumerate(ends_raw):
-            ewhere = f"{where}.ends[{j}]"
-            _check_keys(eraw, {"role", "target", "multiplicity"}, set(), ewhere)
-            target_name = _str_field(eraw, "target", ewhere)
-            ends.append(
-                AssociationEnd(
-                    _str_field(eraw, "role", ewhere),
-                    by_name.get(target_name) or ClassDef(target_name),
-                    _multiplicity_from_json(eraw["multiplicity"], f"{ewhere}.multiplicity"),
-                )
-            )
-        associations.append(
-            BinaryAssociation(_str_field(raw, "name", where), ends[0], ends[1])
-        )
+        for eraw in raw["ends"]:
+            if not (isinstance(eraw, dict) and eraw.keys() == _ASSOC_END_KEYS
+                    and isinstance(eraw["target"], str) and isinstance(eraw["role"], str)):
+                _association_error(raw, i)
+            mult = eraw["multiplicity"]
+            if not (isinstance(mult, dict) and mult.keys() == _MULTIPLICITY_KEYS
+                    and type(mult["lower"]) is int  # not a bool
+                    and (type(mult["upper"]) is int or mult["upper"] == "*")):
+                _association_error(raw, i)
+            upper = None if mult["upper"] == "*" else mult["upper"]
+            target = by_name.get(eraw["target"]) or ClassDef(eraw["target"])
+            ends.append(AssociationEnd(eraw["role"], target, Multiplicity(mult["lower"], upper)))
+        associations.append(BinaryAssociation(raw["name"], *ends))
 
     constraints = []
     for i, raw in enumerate(_list_field(doc, "constraints", "model document")):
-        where = f"constraints[{i}]"
-        _check_keys(raw, {"name", "context", "expression"}, {"language"}, where)
-        context_name = _str_field(raw, "context", where)
-        context = by_name.get(context_name) or ClassDef(context_name)
+        if not (isinstance(raw, dict) and raw.keys() <= _CONSTRAINT_KEYS  # the hot case, inline
+                and isinstance(raw.get("name"), str) and isinstance(raw.get("context"), str)
+                and isinstance(raw.get("expression"), str)
+                and isinstance(raw.get("language", ""), str)):
+            _check_record(raw, {"name", "context", "expression"}, _CONSTRAINT_KEYS,
+                          ("context", "language", "name", "expression"), "constraints[{}]", i)
+        context = by_name.get(raw["context"]) or ClassDef(raw["context"])
         language = raw.get("language", "OCL")
-        if not isinstance(language, str):
-            raise _malformed(f"{where}.language must be a string")
-        constraints.append(
-            ConstraintDef(
-                _str_field(raw, "name", where),
-                context,
-                _str_field(raw, "expression", where),
-                language,
-            )
-        )
+        constraints.append(ConstraintDef(raw["name"], context, raw["expression"], language))
 
-    return StructuralModel(name, tuple(classes), tuple(associations), tuple(constraints))
+    return StructuralModel(doc["name"], tuple(classes), tuple(associations), tuple(constraints))
 
 
 def structural_to_document(model: StructuralModel) -> dict:
@@ -321,17 +348,6 @@ def _decode_slot(value: object, target: type, index: int, attr_name: str) -> obj
     else:
         problem = f'date must be "YYYY-MM-DD", found {value!r}'
     raise _conformance(f"objects[{index}].slots[{attr_name}]: {problem}")
-
-
-def _check_record(record: object, required: frozenset, allowed: frozenset, strings: tuple,
-                  where: str, *at: int) -> None:
-    """Raise IoError Malformed for a record that failed the loader's inline quick test:
-    it is not an object, lacks a key or has an unknown one, or has a non-string value
-    under strings. Its path is where.format(*at), formatted only here."""
-    where = where.format(*at)
-    _check_keys(record, required, allowed - required, where)
-    for key in strings:
-        _str_field(record, key, where)
 
 
 def objects_from_document(doc: dict, model: StructuralModel) -> ObjectModel:

@@ -1,6 +1,6 @@
 """Seeded random generators for round-trip and differential testing.
 
-Two families:
+Three families:
 
 * gen_syntactic_constraint: arbitrary well-formed trees over the Library
   vocabulary, for print/parse round-trips. No typing discipline.
@@ -9,6 +9,9 @@ Two families:
   ('items'), plus type-correct random constraints for differential
   evaluation. Runtime errors (missing slots, division by zero, empty
   scalar navigation) are intentionally reachable.
+* make_random_model_document: small bocl-model/1 documents over few names,
+  so that repeated class names, self-associations and roles ambiguous from
+  one or more classes are common, for differential loading.
 """
 
 from __future__ import annotations
@@ -151,6 +154,51 @@ def make_random_model(rng: random.Random) -> StructuralModel:
         AssociationEnd("items", cls_b, Multiplicity(0, None)),
     )
     return StructuralModel("scenario", (cls_a, cls_b), (assoc,), ())
+
+
+# ---------- Random model documents ----------
+
+_DOC_CLASSES = ["A", "B", "C"]
+_DOC_ROLES = ["p", "q", "r", "s", "t", "u"]
+_DOC_TYPES = ["int", "real", "str", "bool", "date"]
+
+
+def _random_end(rng: random.Random, target: str) -> dict:
+    lower, upper = rng.choice([(0, "*"), (1, "*"), (0, 1), (1, 1), (1, 2), (2, 1)])
+    return {"role": rng.choice(_DOC_ROLES), "target": target,
+            "multiplicity": {"lower": lower, "upper": upper}}
+
+
+def _with_repeat(rng: random.Random, names: list) -> list:
+    """names, with one of them repeated at the end one time in five."""
+    return names + [rng.choice(names)] if names and rng.random() < 0.2 else names
+
+
+def make_random_model_document(rng: random.Random) -> dict:
+    """A well-formed bocl-model/1 document of up to four classes and three
+    associations, each a self-association at times. One time in five a class,
+    attribute, association or constraint name is repeated, and the roles come
+    from a pool of six, so that some are ambiguous."""
+    names = _with_repeat(rng, rng.sample(_DOC_CLASSES, rng.randint(1, 3)))
+    classes = [
+        {"name": name, "attributes": [
+            {"name": attr, "type": rng.choice(_DOC_TYPES)}
+            for attr in _with_repeat(rng, rng.sample(["x", "y", "z"], rng.randint(0, 2)))
+        ]}
+        for name in names
+    ]
+    associations = []
+    for assoc in _with_repeat(rng, [f"a{k}" for k in range(rng.randint(0, 3))]):
+        near = rng.choice(names)
+        far = near if rng.random() < 0.3 else rng.choice(names)
+        associations.append({"name": assoc, "ends": [_random_end(rng, near), _random_end(rng, far)]})
+    constraints = [
+        {"name": name, "context": rng.choice(names), "expression": "context A inv: true",
+         **({"language": "OCL"} if rng.random() < 0.5 else {})}
+        for name in _with_repeat(rng, [f"k{k}" for k in range(rng.randint(0, 2))])
+    ]
+    return {"schemaVersion": "bocl-model/1", "name": "random", "classes": classes,
+            "associations": associations, "constraints": constraints}
 
 
 _DATE_POOL = [

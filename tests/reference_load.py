@@ -1,5 +1,6 @@
-"""Independent reading of the bocl-objects/1 loading rules, used as a
-differential oracle for `load_objects`.
+"""Independent reading of the bocl-objects/1 and bocl-model/1 loading
+rules, used as a differential oracle for `load_objects` and
+`load_structural`.
 
 It follows README's "JSON formats" section and the loader's messages
 with plain loops and linear scans. It shares no code with
@@ -131,10 +132,10 @@ def _record(raw: object, required: list, optional: list, strings: list, where: s
             raise _malformed(f"{where}.{key} must be a string")
 
 
-def _array(doc: dict, key: str) -> list:
+def _array(doc: dict, key: str, where: str = "objects document") -> list:
     value = doc.get(key, [])
     if not isinstance(value, list):
-        raise _malformed(f"objects document.{key} must be an array")
+        raise _malformed(f"{where}.{key} must be an array")
     return value
 
 
@@ -295,3 +296,172 @@ def _far_names(links: list, assoc, far_end, near_name: str) -> list[str]:
         if far_end is assoc.end2 and end1.name == near_name:
             names.add(end2.name)
     return sorted(names)
+
+
+# ---------- Structural models ----------
+#
+# `reference_structural(doc)` takes a parsed model document and returns
+# either a `RefLoadError` as above or `RefStructural(classes, associations,
+# constraints, diagnostics)`: the rows of the model that `load_structural`
+# builds and the text of every `validate_structural` diagnostic, in order.
+# Classes and associations are in name order, a repeated name in document
+# order; constraints in document order.
+#
+# Reading rules: the document has keys `schemaVersion` and `name` (a
+# string) and optionally `classes`, `associations` and `constraints`
+# (arrays). Each record is read in document order, and in each record the
+# error met first is reported:
+#   * a class `{name, attributes?}`: its keys, then each attribute
+#     `{name, type}` (its keys, its type a string and one of the five
+#     types, its name a string), then its name a string;
+#   * an association `{name, ends}`: its keys, exactly two ends, then each
+#     end `{role, target, multiplicity}` (its keys, target a string, role a
+#     string, multiplicity `{lower, upper}` with an integer lower and an
+#     integer or "*" upper), then its name a string;
+#   * a constraint `{name, context, expression, language?}`: its keys,
+#     then context, language, name and expression each a string.
+#
+# Validation rules, each an "error: <path>: <message>" line, in this order:
+#   * per class: a name already used by an earlier class, a name that is
+#     not an identifier; per attribute, in name order: the same two;
+#   * per association: the same two; per end, end1 then end2: a role that
+#     is not an identifier, a negative lower bound, an upper bound below 1,
+#     a lower bound above the upper, a target that is not a class of the
+#     model;
+#   * per class again, a repeated name again too: each role navigable from
+#     it, association by association and end1 before end2, that an earlier
+#     end navigable from it already has;
+#   * per constraint: a repeated name, a name that is not an identifier, a
+#     context that is not a class of the model, a language other than OCL.
+
+_TYPE_NAMES = ("int", "real", "str", "bool", "date")
+
+
+@dataclasses.dataclass(frozen=True)
+class RefStructural:
+    classes: list  # [(name, [(attribute name, type name)])]
+    associations: list  # [(name, [(role, target, lower, upper or None)] * 2)]
+    constraints: list  # [(name, context, expression, language)]
+    diagnostics: list  # ["error: <path>: <message>"]
+
+
+def reference_structural(doc: object) -> RefLoadError | RefStructural:
+    try:
+        classes, associations, constraints = _read_model(doc)
+    except _Reject as reject:
+        return RefLoadError(reject.kind, reject.message)
+    classes = sorted(classes, key=lambda c: c[0])
+    associations = sorted(associations, key=lambda a: a[0])
+    return RefStructural(classes, associations, constraints,
+                         _structural_errors(classes, associations, constraints))
+
+
+def _read_model(doc: object) -> tuple[list, list, list]:
+    if not isinstance(doc, dict):
+        raise _malformed("document root must be an object")
+    if doc.get("schemaVersion") != "bocl-model/1":
+        found = doc.get("schemaVersion")
+        raise _Reject("SchemaVersion", f"expected schemaVersion 'bocl-model/1', found {found!r}")
+    top = "model document"
+    _record(doc, ["schemaVersion", "name"], ["classes", "associations", "constraints"], ["name"], top)
+
+    classes = []
+    for i, raw in enumerate(_array(doc, "classes", top)):
+        where = f"classes[{i}]"
+        _record(raw, ["name"], ["attributes"], [], where)
+        attributes = []
+        for j, attr in enumerate(_array(raw, "attributes", where)):
+            awhere = f"{where}.attributes[{j}]"
+            _record(attr, ["name", "type"], [], ["type"], awhere)
+            if attr["type"] not in _TYPE_NAMES:
+                raise _malformed(f"{awhere}.type: unknown type {attr['type']!r}")
+            _record(attr, ["name", "type"], [], ["name"], awhere)
+            attributes.append((attr["name"], attr["type"]))
+        _record(raw, ["name"], ["attributes"], ["name"], where)
+        classes.append((raw["name"], sorted(attributes, key=lambda a: a[0])))
+
+    associations = []
+    for i, raw in enumerate(_array(doc, "associations", top)):
+        where = f"associations[{i}]"
+        _record(raw, ["name", "ends"], [], [], where)
+        if not isinstance(raw["ends"], list) or len(raw["ends"]) != 2:
+            raise _malformed(f"{where}.ends must be an array of exactly two ends")
+        ends = []
+        for j, end in enumerate(raw["ends"]):
+            ewhere = f"{where}.ends[{j}]"
+            _record(end, ["role", "target", "multiplicity"], [], ["target", "role"], ewhere)
+            mwhere = f"{ewhere}.multiplicity"
+            _record(end["multiplicity"], ["lower", "upper"], [], [], mwhere)
+            lower, upper = end["multiplicity"]["lower"], end["multiplicity"]["upper"]
+            if type(lower) is not int:
+                raise _malformed(f"{mwhere}.lower must be an integer")
+            if upper != "*" and type(upper) is not int:
+                raise _malformed(f'{mwhere}.upper must be an integer or "*"')
+            ends.append((end["role"], end["target"], lower, None if upper == "*" else upper))
+        _record(raw, ["name", "ends"], [], ["name"], where)
+        associations.append((raw["name"], ends))
+
+    constraints = []
+    for i, raw in enumerate(_array(doc, "constraints", top)):
+        where = f"constraints[{i}]"
+        fields = ["name", "context", "expression"]
+        _record(raw, fields, ["language"], ["context"], where)
+        language = raw.get("language", "OCL")
+        if not isinstance(language, str):
+            raise _malformed(f"{where}.language must be a string")
+        _record(raw, fields, ["language"], ["name", "expression"], where)
+        constraints.append((raw["name"], raw["context"], raw["expression"], language))
+    return classes, associations, constraints
+
+
+def _structural_errors(classes: list, associations: list, constraints: list) -> list[str]:
+    errors = []
+    class_names = [name for name, _ in classes]
+
+    def names(kind: str, name: str, earlier: list, path: str) -> None:
+        if name in earlier:
+            errors.append(f"error: {path}: duplicate {kind} name '{name}'")
+        if not _is_identifier(name):
+            errors.append(f"error: {path}: {kind} name '{name}' is not an identifier")
+
+    for i, (name, attributes) in enumerate(classes):
+        names("class", name, class_names[:i], f"classes[{name}]")
+        for j, (attr, _) in enumerate(attributes):
+            earlier = [a for a, _ in attributes[:j]]
+            names("attribute", attr, earlier, f"classes[{name}].attributes[{attr}]")
+
+    for i, (name, ends) in enumerate(associations):
+        path = f"associations[{name}]"
+        names("association", name, [a for a, _ in associations[:i]], path)
+        for label, (role, target, lower, upper) in zip(("end1", "end2"), ends):
+            if not _is_identifier(role):
+                errors.append(f"error: {path}.{label}: role '{role}' is not an identifier")
+            bounds = f"error: {path}.{label}.multiplicity"
+            if lower < 0:
+                errors.append(f"{bounds}: negative lower bound {lower}")
+            if upper is not None and upper < 1:
+                errors.append(f"{bounds}: upper bound {upper} < 1")
+            if upper is not None and lower > upper:
+                errors.append(f"{bounds}: lower > upper ({lower} > {upper})")
+            if target not in class_names:
+                errors.append(f"error: {path}.{label}: end target '{target}' is not a model class")
+
+    for cls in class_names:
+        seen = []
+        for name, (end1, end2) in associations:
+            for (role, _, _, _), (_, near, _, _) in ((end1, end2), (end2, end1)):
+                if near != cls:
+                    continue
+                if role in seen:
+                    errors.append(f"error: associations[{name}]: role '{role}' is ambiguous "
+                                  f"when navigating from class '{cls}'")
+                seen.append(role)
+
+    for i, (name, context, _, language) in enumerate(constraints):
+        path = f"constraints[{name}]"
+        names("constraint", name, [c[0] for c in constraints[:i]], path)
+        if context not in class_names:
+            errors.append(f"error: {path}: context class '{context}' is not a model class")
+        if language != "OCL":
+            errors.append(f"error: {path}: unsupported constraint language '{language}'")
+    return errors

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import errno
 import io
 import json
 import os
@@ -208,6 +209,24 @@ def test_eval_closed_stdout_exits_quietly(tmp_path, model_doc, objects_path):
     _, stderr = proc.communicate(timeout=60)
     assert proc.returncode == 2
     assert stderr == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["eval", str(MODEL_PATH), str(OBJECTS_PATH)],
+    ["eval", str(MODEL_PATH), str(OBJECTS_PATH), "--format", "json"],
+    ["check", str(MODEL_PATH)],
+], ids=["eval-text", "eval-json", "check"])
+def test_full_stdout_is_one_diagnostic(argv):
+    src = str(Path(bocl.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "bocl", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.decode().splitlines() == [
+        f"cannot write output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    ]
 
 
 def test_eval_json_format(model_path, objects_path, capsys):

@@ -17,7 +17,7 @@ from bocl.evaluator import (
     VerdictKind,
     evaluate_all,
 )
-from bocl.model import PrimitiveType, Severity, navigate
+from bocl.model import PrimitiveType, Severity, navigate, validate_structural
 from bocl.model_io import (
     IoError,
     IoErrorKind,
@@ -34,8 +34,14 @@ from bocl.model_io import (
 )
 
 from conftest import MODEL_PATH, OBJECTS_PATH, report_to_document
-from generators import make_random_model, make_random_objects
-from reference_load import RefLoaded, RefLoadError, reference_load
+from generators import make_random_model, make_random_model_document, make_random_objects
+from reference_load import (
+    RefLoaded,
+    RefLoadError,
+    RefStructural,
+    reference_load,
+    reference_structural,
+)
 
 
 def test_load_golden_model(library_model):
@@ -408,6 +414,144 @@ def test_loader_messages(tmp_path, model_doc, objects_doc, mutate, message):
     assert str(exc.value) == message
 
 
+_BOOK = ("classes", 1)  # Book: title, pages, release
+_TITLE = _BOOK + ("attributes", 0)
+_WRITTEN = ("associations", 1)  # book_author_assoc: writedBy Author, publishes Book
+_WRITER = _WRITTEN + ("ends", 0)
+_BOUNDS = _WRITER + ("multiplicity",)
+_PAGES = ("constraints", 0)  # BookPageNumber
+
+
+def _both(*mutations):
+    def mutate(doc):
+        for mutation in mutations:
+            mutation(doc)
+    return mutate
+
+
+STRUCTURAL_LOADER_MESSAGES = [
+    ("document-name-not-string", _set(("name",), 3), "model document.name must be a string"),
+    ("document-missing-name", _drop(("name",)), "model document is missing key(s) ['name']"),
+    ("classes-not-array", _set(("classes",), {}), "model document.classes must be an array"),
+    ("associations-not-array", _set(("associations",), None),
+     "model document.associations must be an array"),
+    ("constraints-not-array", _set(("constraints",), "c"),
+     "model document.constraints must be an array"),
+    # Classes
+    ("class-not-object", _set(_BOOK, "Book"), "classes[1] must be an object"),
+    ("class-missing-name", _drop(_BOOK + ("name",)), "classes[1] is missing key(s) ['name']"),
+    ("class-unknown-key", _set(_BOOK + ("colour",), 1), "classes[1] has unknown key(s) ['colour']"),
+    ("class-name-not-string", _set(_BOOK + ("name",), None), "classes[1].name must be a string"),
+    ("attributes-not-array", _set(_BOOK + ("attributes",), {}),
+     "classes[1].attributes must be an array"),
+    ("class-name-after-its-attributes",
+     _both(_set(_BOOK + ("name",), 1), _set(_TITLE + ("type",), "text")),
+     "classes[1].attributes[0].type: unknown type 'text'"),
+    # Attributes
+    ("attribute-not-object", _set(_TITLE, []), "classes[1].attributes[0] must be an object"),
+    ("attribute-missing-type", _drop(_TITLE + ("type",)),
+     "classes[1].attributes[0] is missing key(s) ['type']"),
+    ("attribute-unknown-key", _set(_TITLE + ("default",), ""),
+     "classes[1].attributes[0] has unknown key(s) ['default']"),
+    ("attribute-type-not-string", _set(_TITLE + ("type",), ["str"]),
+     "classes[1].attributes[0].type must be a string"),
+    ("attribute-unknown-type", _set(_TITLE + ("type",), "float"),
+     "classes[1].attributes[0].type: unknown type 'float'"),
+    ("attribute-name-not-string", _set(_TITLE + ("name",), 0),
+     "classes[1].attributes[0].name must be a string"),
+    ("attribute-type-before-name",
+     _both(_set(_TITLE + ("name",), 0), _set(_TITLE + ("type",), "float")),
+     "classes[1].attributes[0].type: unknown type 'float'"),
+    ("third-attribute", _set(_BOOK + ("attributes", 2, "type"), "Date"),
+     "classes[1].attributes[2].type: unknown type 'Date'"),
+    # Associations
+    ("association-not-object", _set(_WRITTEN, None), "associations[1] must be an object"),
+    ("association-missing-ends", _drop(_WRITTEN + ("ends",)),
+     "associations[1] is missing key(s) ['ends']"),
+    ("association-unknown-key", _set(_WRITTEN + ("kind",), "x"),
+     "associations[1] has unknown key(s) ['kind']"),
+    ("ends-not-array", _set(_WRITTEN + ("ends",), {}),
+     "associations[1].ends must be an array of exactly two ends"),
+    ("one-end", _drop(_WRITTEN + ("ends", 1)),
+     "associations[1].ends must be an array of exactly two ends"),
+    ("association-name-not-string", _set(_WRITTEN + ("name",), 1.5),
+     "associations[1].name must be a string"),
+    ("association-name-after-its-ends",
+     _both(_set(_WRITTEN + ("name",), 1.5), _set(_WRITTEN + ("ends", 1, "role"), None)),
+     "associations[1].ends[1].role must be a string"),
+    # Association ends
+    ("end-not-object", _set(_WRITER, "Author"), "associations[1].ends[0] must be an object"),
+    ("end-missing-multiplicity", _drop(_WRITER + ("multiplicity",)),
+     "associations[1].ends[0] is missing key(s) ['multiplicity']"),
+    ("end-unknown-key", _set(_WRITER + ("navigable",), True),
+     "associations[1].ends[0] has unknown key(s) ['navigable']"),
+    ("target-not-string", _set(_WRITER + ("target",), {}),
+     "associations[1].ends[0].target must be a string"),
+    ("role-not-string", _set(_WRITER + ("role",), 2),
+     "associations[1].ends[0].role must be a string"),
+    ("target-before-role", _both(_set(_WRITER + ("role",), 2), _set(_WRITER + ("target",), 2)),
+     "associations[1].ends[0].target must be a string"),
+    ("role-before-multiplicity",
+     _both(_set(_WRITER + ("role",), 2), _set(_BOUNDS, "1..*")),
+     "associations[1].ends[0].role must be a string"),
+    # Multiplicities
+    ("multiplicity-not-object", _set(_BOUNDS, "1..*"),
+     "associations[1].ends[0].multiplicity must be an object"),
+    ("multiplicity-missing-upper", _drop(_BOUNDS + ("upper",)),
+     "associations[1].ends[0].multiplicity is missing key(s) ['upper']"),
+    ("multiplicity-unknown-key", _set(_BOUNDS + ("exact",), 1),
+     "associations[1].ends[0].multiplicity has unknown key(s) ['exact']"),
+    ("lower-not-integer", _set(_BOUNDS + ("lower",), 1.0),
+     "associations[1].ends[0].multiplicity.lower must be an integer"),
+    ("lower-bool", _set(_BOUNDS + ("lower",), True),
+     "associations[1].ends[0].multiplicity.lower must be an integer"),
+    ("upper-not-integer", _set(_BOUNDS + ("upper",), "many"),
+     'associations[1].ends[0].multiplicity.upper must be an integer or "*"'),
+    ("upper-bool", _set(_BOUNDS + ("upper",), False),
+     'associations[1].ends[0].multiplicity.upper must be an integer or "*"'),
+    ("second-end-multiplicity", _set(_WRITTEN + ("ends", 1, "multiplicity", "lower"), None),
+     "associations[1].ends[1].multiplicity.lower must be an integer"),
+    # Constraints
+    ("constraint-not-object", _set(_PAGES, "self.pages>0"), "constraints[0] must be an object"),
+    ("constraint-missing-expression", _drop(_PAGES + ("expression",)),
+     "constraints[0] is missing key(s) ['expression']"),
+    ("constraint-unknown-key", _set(_PAGES + ("stereotype",), "inv"),
+     "constraints[0] has unknown key(s) ['stereotype']"),
+    ("context-not-string", _set(_PAGES + ("context",), None),
+     "constraints[0].context must be a string"),
+    ("language-not-string", _set(_PAGES + ("language",), 1),
+     "constraints[0].language must be a string"),
+    ("constraint-name-not-string", _set(_PAGES + ("name",), []),
+     "constraints[0].name must be a string"),
+    ("expression-not-string", _set(_PAGES + ("expression",), 3),
+     "constraints[0].expression must be a string"),
+    ("context-before-language",
+     _both(_set(_PAGES + ("language",), 1), _set(_PAGES + ("context",), 1)),
+     "constraints[0].context must be a string"),
+    ("language-before-name", _both(_set(_PAGES + ("language",), 1), _set(_PAGES + ("name",), 1)),
+     "constraints[0].language must be a string"),
+    ("name-before-expression",
+     _both(_set(_PAGES + ("expression",), 1), _set(_PAGES + ("name",), 1)),
+     "constraints[0].name must be a string"),
+    ("second-constraint", _set(("constraints", 1, "expression"), None),
+     "constraints[1].expression must be a string"),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [case[1:] for case in STRUCTURAL_LOADER_MESSAGES],
+    ids=[case[0] for case in STRUCTURAL_LOADER_MESSAGES],
+)
+def test_structural_loader_messages(tmp_path, model_doc, mutate, message):
+    mutate(model_doc)
+    (tmp_path / "m.json").write_text(json.dumps(model_doc))
+    with pytest.raises(IoError) as exc:
+        load_structural(tmp_path / "m.json")
+    assert str(exc.value) == f"Malformed: {message}"
+    assert exc.value.kind is IoErrorKind.MALFORMED
+
+
 def test_objects_from_document_leaves_its_input_alone(tmp_path, model_doc, objects_doc):
     model = _model_with_price(tmp_path, model_doc)
     doc = _book_b1(objects_doc)
@@ -593,6 +737,53 @@ def test_loader_agrees_with_reference(fuzz_dir, data):
         for o in objects.objects for role in model.navigable_ends(o.classifier)
     }
     assert expected.warnings == [str(w) for w in warnings]
+
+
+# Replacement values for model documents: bounds at their edges, names that
+# exist in the generated documents, and names and types that are not valid.
+_MODEL_POOL = [
+    None, True, 0, -1, 1, 2, 1.5, 2**63, "*", "", "a b", [], {}, "A", "B", "C", "Z",
+    "p", "q", "r", "a0", "a1", "k0", "int", "date", "float", "OCL", "SQL",
+]
+
+
+def _model_rows(model):
+    return (
+        [(c.name, [(a.name, a.type.value) for a in c.attributes]) for c in model.classes],
+        [(a.name, [(e.role, e.target.name, e.multiplicity.lower, e.multiplicity.upper)
+                   for e in a.ends()]) for a in model.associations],
+        [(c.name, c.context_class.name, c.expression, c.language) for c in model.constraints],
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(data=st.data())
+def test_structural_loader_agrees_with_reference(fuzz_dir, data):
+    doc = make_random_model_document(random.Random(data.draw(st.integers(0, 2**32 - 1))))
+    # Mutate the whole document, one part of it, or nothing, so that many
+    # documents also reach validation.
+    part = data.draw(st.sampled_from([None, None, "document", "classes", "associations",
+                                      "constraints"]))
+    if part == "document":
+        doc = _mutate(data, doc, _MODEL_POOL)
+    elif part is not None:
+        doc[part] = _mutate(data, doc[part], _MODEL_POOL)
+    path = fuzz_dir / "m.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    expected = reference_structural(doc)
+    try:
+        model = load_structural(path)
+    except IoError as error:
+        if isinstance(expected, RefLoadError):
+            assert str(error) == f"{expected.kind}: {expected.message}"
+            return
+        assert expected.diagnostics, f"only the loader rejects: {error}"
+        assert str(error) == "Validation: " + "; ".join(expected.diagnostics)
+        model = structural_from_document(doc)
+    assert isinstance(expected, RefStructural), f"only the reference rejects: {expected}"
+    assert _model_rows(model) == (expected.classes, expected.associations, expected.constraints)
+    assert [str(d) for d in validate_structural(model)] == expected.diagnostics
 
 
 # -- link order and repeated links --

@@ -2,6 +2,7 @@ import dataclasses
 import datetime
 import math
 import random
+import time
 
 import pytest
 
@@ -23,6 +24,7 @@ from bocl.model import (
     validate_conformance,
     validate_structural,
 )
+from bocl.model_io import structural_from_document
 
 from generators import make_random_model, make_random_objects
 from reference_eval import RefEvalError, _linked_objects
@@ -75,6 +77,58 @@ def test_ambiguous_role_names_flagged():
     )
     diags = validate_structural(StructuralModel("m", (a, b), (assoc1, assoc2)))
     assert any("ambiguous" in d.message for d in diags)
+
+
+def test_ambiguous_roles_are_reported_by_class_then_association():
+    # Role r repeats from A in association z and from B in y; the copy of B
+    # repeats the report from B; the self-association x, whose two ends share
+    # a role, is ambiguous from C. In association order, x would come first.
+    a, b, b_copy, c = ClassDef("A"), ClassDef("B"), ClassDef("B"), ClassDef("C")
+
+    def assoc(name, role1, role2, target2):
+        mult = Multiplicity(0, None)
+        return BinaryAssociation(name, AssociationEnd(role1, c, mult),
+                                 AssociationEnd(role2, target2, mult))
+
+    model = StructuralModel("m", (c, b_copy, b, a), (
+        assoc("z", "r", "s", a), assoc("y", "r", "t", b), assoc("w", "r", "u", a),
+        assoc("v", "r", "q", b), assoc("x", "self", "self", c),
+    ))
+    ambiguous = "error: associations[{}]: role '{}' is ambiguous when navigating from class '{}'"
+    assert [str(d) for d in validate_structural(model)] == [
+        "error: classes[B]: duplicate class name 'B'",
+        ambiguous.format("z", "r", "A"),
+        ambiguous.format("y", "r", "B"),
+        ambiguous.format("y", "r", "B"),
+        ambiguous.format("x", "self", "C"),
+    ]
+
+
+def test_structural_loading_is_linear_in_classes_and_associations():
+    # 4000 classes on a ring of 4000 associations, one constraint each: a
+    # role check that pairs every class with every association takes seconds.
+    n = 4000
+    doc = {
+        "schemaVersion": "bocl-model/1",
+        "name": "ring",
+        "classes": [{"name": f"C{i}", "attributes": [{"name": "x", "type": "int"}]}
+                    for i in range(n)],
+        "associations": [
+            {"name": f"a{i}", "ends": [
+                {"role": f"next{i}", "target": f"C{(i + 1) % n}",
+                 "multiplicity": {"lower": 0, "upper": "*"}},
+                {"role": f"prev{i}", "target": f"C{i}", "multiplicity": {"lower": 0, "upper": 1}},
+            ]}
+            for i in range(n)
+        ],
+        "constraints": [{"name": f"k{i}", "context": f"C{i}", "expression": "context C inv: true"}
+                        for i in range(n)],
+    }
+    start = time.perf_counter()
+    model = structural_from_document(doc)
+    assert validate_structural(model) == []
+    assert time.perf_counter() - start < 2.0
+    assert len(model.navigable_ends(model.class_named("C7"))) == 2
 
 
 def test_non_identifier_names_flagged():
