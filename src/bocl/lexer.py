@@ -26,21 +26,24 @@ KEYWORDS = frozenset(
     }
 )
 
-# One alternative per token shape, tried in order. Identifiers and digits
-# are ASCII only (\w and \d would admit other scripts). Two-character
-# symbols come before their one-character prefixes. A string ends at a
-# quote that is not followed by another quote (doubled quotes are an
-# escaped quote); an unterminated string leaves its opening quote to the
-# catch-all 'bad' group.
+# One match per token: whitespace, then one numbered group per token shape,
+# tried in order. A comment comes before '-', two-character symbols before
+# their prefixes. Identifiers and digits are ASCII only (\w and \d admit
+# other scripts). A string ends at a quote not followed by another (doubled
+# quotes are an escaped quote); an unterminated string leaves its opening
+# quote to the catch-all group, and \Z keeps trailing whitespace out of it.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<space>[ \t\r\n]+|--[^\n]*)
-    | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<real>[0-9]+\.[0-9]+)
-    | (?P<int>[0-9]+)
-    | (?P<symbol>::|<>|<=|>=|->|[:()|.=<>+\-*/,])
-    | (?P<string>'(?:[^']|'')*'(?!'))
-    | (?P<bad>.)
+    [ \t\r\n]*
+    (?:
+      (--[^\n]*)                          # 1 comment
+    | ([A-Za-z_][A-Za-z0-9_]*)             # 2 word
+    | ([0-9]+(?:\.[0-9]+)?)                # 3 int or real
+    | (::|<>|<=|>=|->|[:()|.=<>+\-*/,])    # 4 symbol
+    | '((?:[^']|'')*)'(?!')                # 5 string content
+    | (\Z)                                 # 6 end of input
+    | (.)                                  # 7 anything else
+    )
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -90,29 +93,36 @@ def scan(source: str) -> list[tuple[str, str, int]]:
     """Split source into (tag, text, offset) entries, ending with ("eof", "", len(source)).
 
     A keyword's or symbol's tag is its text; any other token's tag is its
-    group: "ident", "int", "real" or "string". Whitespace and -- line
-    comments are skipped. Keywords are matched case-insensitively and
-    normalized to lowercase; a string's text is its decoded content (''
-    inside a literal is a single quote).
+    shape: "ident", "int", "real" or "string". Whitespace and -- line
+    comments are skipped: a comment (group 1) takes no branch below.
+    Keywords are matched case-insensitively and normalized to lowercase; a
+    string's text is its decoded content ('' inside a literal is a single
+    quote).
     """
     entries: list[tuple[str, str, int]] = []
+    append = entries.append
     for match in _TOKEN_RE.finditer(source):
-        tag = match.lastgroup
-        if tag == "space":
-            continue
-        text = match.group()
-        if tag == "word":
+        group = match.lastindex
+        if group == 4:
+            text = match[4]
+            append((text, text, match.start(4)))
+        elif group == 2:
+            text = match[2]
             word = text.lower()
-            tag, text = (word, word) if word in KEYWORDS else ("ident", text)
-        elif tag == "symbol":
-            tag = text
-        elif tag == "string":
-            text = text[1:-1].replace("''", "'")
-        elif tag == "bad":
+            append((word, word, match.start(2)) if word in KEYWORDS
+                   else ("ident", text, match.start(2)))
+        elif group == 3:
+            text = match[3]
+            append(("real" if "." in text else "int", text, match.start(3)))
+        elif group == 5:
+            append(("string", match[5].replace("''", "'"), match.start(5) - 1))
+        elif group == 7:
+            text = match[7]
             message = "unterminated string literal" if text == "'" else f"illegal character {text!r}"
-            raise ParseError(message, *position(source, match.start()))
-        entries.append((tag, text, match.start()))
-    entries.append(("eof", "", len(source)))
+            raise ParseError(message, *position(source, match.start(7)))
+        elif group == 6:  # the end; after trailing whitespace, \Z would match again
+            break
+    append(("eof", "", len(source)))
     return entries
 
 

@@ -91,7 +91,7 @@ class BinaryAssociation:
         return (self.end1, self.end2)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ConstraintDef:
     name: str
     context_class: ClassDef

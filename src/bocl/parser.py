@@ -112,117 +112,106 @@ def parse_expression(source: str) -> Expr:
     return expr
 
 
-def _deeper(s: _TokenStream, level: int, offset: int) -> int:
-    """The level below level, recorded as reached; past MAX_DEPTH, a syntax error at offset."""
-    if level >= MAX_DEPTH:
-        raise s.error("expression nests too deeply", offset)
-    s.deepest = max(s.deepest, level + 1)
-    return level + 1
-
-
 def _parse_expr(s: _TokenStream, level: int, min_prec: int = 1) -> Expr:
     """Precedence climbing over the printer's BINARY_PREC table."""
     # s.deepest covers only this expression until it returns.
     outer, s.deepest = s.deepest, level
-    left = _parse_unary(s, level)
+    left = _parse_operand(s, level)
+    tokens = s.tokens
     while True:
-        tag, _, offset = s.tokens[s.pos]
+        tag, _, offset = tokens[s.pos]
         infix = _INFIX.get(tag)
         if infix is None or infix[1] < min_prec:
-            s.deepest = max(outer, s.deepest)
+            if s.deepest < outer:
+                s.deepest = outer
             return left
         op, prec = infix
         s.pos += 1
-        _deeper(s, s.deepest, offset)
+        if s.deepest >= MAX_DEPTH:
+            raise s.error("expression nests too deeply", offset)
+        s.deepest += 1
         left = OperationCallExp(op, left, _parse_expr(s, level + 1, prec + 1))
         if tag in _COMPARISON_TAGS:
-            follow, _, offset = s.tokens[s.pos]
+            follow, _, offset = tokens[s.pos]
             if follow in _COMPARISON_TAGS:
                 raise s.error("comparison operators are non-associative; use parentheses", offset)
 
 
-def _parse_unary(s: _TokenStream, level: int) -> Expr:
-    tag, _, offset = s.tokens[s.pos]
-    op = _UNARY.get(tag)
-    if op is not None:
-        s.pos += 1
-        return UnaryExp(op, _parse_unary(s, _deeper(s, level, offset)))
-    return _parse_postfix(s, level)
-
-
-def _parse_postfix(s: _TokenStream, level: int) -> Expr:
-    expr = _parse_primary(s, level)
-    while True:
-        tag, _, offset = s.tokens[s.pos]
-        if tag != "." and tag != "->":
-            return expr
-        s.pos += 1
-        _deeper(s, s.deepest, offset)
-        if tag == ".":
-            expr = PropertyExp(expr, s.expect("ident", "property name"))
-        else:
-            expr = _parse_collection_call(s, expr, level + 1)
-
-
-def _parse_collection_call(s: _TokenStream, source: Expr, level: int) -> Expr:
-    offset = s.tokens[s.pos][2]
-    name = s.expect("ident", "collection operation name")
-    if name in _COLLECTION_OPS:
-        s.expect("(", "'('")
-        s.expect(")", "')'")
-        return CollectionOpExp(source, _COLLECTION_OPS[name])
-    if name in _ITERATOR_KINDS:
-        s.expect("(", "'('")
-        var = s.expect("ident", "iterator variable name")
-        var_type = None
-        if s.tokens[s.pos][0] == ":":
-            s.pos += 1
-            var_type = s.expect("ident", "iterator variable type")
-        s.expect("|", "'|'")
-        body = _parse_expr(s, level)
-        s.expect(")", "')'")
-        return IteratorExp(source, _ITERATOR_KINDS[name], var, var_type, body)
-    known = sorted(_COLLECTION_OPS) + sorted(_ITERATOR_KINDS)
-    raise s.error(
-        f"unknown collection operation '{name}'",
-        offset,
-        tuple(f"'{op}'" for op in known),
-    )
-
-
-def _parse_primary(s: _TokenStream, level: int) -> Expr:
-    tag, text, offset = s.tokens[s.pos]
+def _parse_operand(s: _TokenStream, level: int) -> Expr:
+    """A binary operator's operand: prefix operators, a primary and its '.'
+    and '->' links. s.deepest is level when it starts."""
+    tokens = s.tokens
+    tag, text, offset = tokens[s.pos]
     s.pos += 1
     if tag == "ident":
-        return VariableExp(text)
-    if tag == "self":
-        return SelfExp()
-    if tag == "int":
+        expr = VariableExp(text)
+    elif tag == "self":
+        expr = SelfExp()
+    elif tag == "int":
         # Compare lengths first: int() refuses text of over 4300 digits.
         digits = text.lstrip("0") or "0"
         if len(digits) > len(str(INT64_MAX)) or int(digits) > INT64_MAX:
             raise s.error("integer literal out of 64-bit range", offset)
-        return IntegerLiteralExp(int(digits))
-    if tag == "true" or tag == "false":
-        return BooleanLiteralExp(tag == "true")
-    if tag == "string":
-        return StringLiteralExp(text)
-    if tag == "(":
-        expr = _parse_expr(s, _deeper(s, level, offset))
+        expr = IntegerLiteralExp(int(digits))
+    elif tag == "(":
+        if level >= MAX_DEPTH:
+            raise s.error("expression nests too deeply", offset)
+        expr = _parse_expr(s, level + 1)
         s.expect(")", "')'")
-        return expr
-    if tag == "if":
-        level = _deeper(s, level, offset)
-        condition = _parse_expr(s, level)
+    elif tag in _UNARY:
+        if level >= MAX_DEPTH:
+            raise s.error("expression nests too deeply", offset)
+        s.deepest = level + 1
+        return UnaryExp(_UNARY[tag], _parse_operand(s, level + 1))
+    elif tag == "true" or tag == "false":
+        expr = BooleanLiteralExp(tag == "true")
+    elif tag == "string":
+        expr = StringLiteralExp(text)
+    elif tag == "if":
+        if level >= MAX_DEPTH:
+            raise s.error("expression nests too deeply", offset)
+        condition = _parse_expr(s, level + 1)
         s.expect("then", "'then'")
-        then_branch = _parse_expr(s, level)
+        then_branch = _parse_expr(s, level + 1)
         s.expect("else", "'else'")
-        else_branch = _parse_expr(s, level)
+        else_branch = _parse_expr(s, level + 1)
         s.expect("endif", "'endif'")
-        return IfExp(condition, then_branch, else_branch)
-    if tag == "real":
+        expr = IfExp(condition, then_branch, else_branch)
+    elif tag == "real":
         value = float(text)
         if value == math.inf:
             raise s.error("real literal out of range", offset)
-        return RealLiteralExp(value)
-    raise s.error(f"expected expression, found {describe(tag, text)}", offset, ("expression",))
+        expr = RealLiteralExp(value)
+    else:
+        raise s.error(f"expected expression, found {describe(tag, text)}", offset, ("expression",))
+
+    while True:
+        tag, _, offset = tokens[s.pos]
+        if tag != "." and tag != "->":
+            return expr
+        s.pos += 1
+        if s.deepest >= MAX_DEPTH:
+            raise s.error("expression nests too deeply", offset)
+        s.deepest += 1
+        if tag == ".":
+            expr = PropertyExp(expr, s.expect("ident", "property name"))
+            continue
+        name = s.expect("ident", "collection operation name")
+        if name in _COLLECTION_OPS:
+            s.expect("(", "'('")
+            s.expect(")", "')'")
+            expr = CollectionOpExp(expr, _COLLECTION_OPS[name])
+        elif name in _ITERATOR_KINDS:
+            s.expect("(", "'('")
+            var = s.expect("ident", "iterator variable name")
+            var_type = None
+            if tokens[s.pos][0] == ":":
+                s.pos += 1
+                var_type = s.expect("ident", "iterator variable type")
+            s.expect("|", "'|'")
+            body = _parse_expr(s, level + 1)
+            s.expect(")", "')'")
+            expr = IteratorExp(expr, _ITERATOR_KINDS[name], var, var_type, body)
+        else:
+            known = tuple(f"'{op}'" for op in sorted(_COLLECTION_OPS) + sorted(_ITERATOR_KINDS))
+            raise s.error(f"unknown collection operation '{name}'", tokens[s.pos - 1][2], known)

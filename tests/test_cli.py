@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import errno
+import hashlib
 import io
 import json
 import os
@@ -39,6 +40,30 @@ def test_check_golden_model(model_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert code == 0
     assert out == ["BookPageNumber: OK", "LibaryCollect: OK"]
+
+
+# A 200-constraint model of the benchmark's check-many family
+# (bench/workloads.py check_many, seed 11, scale 0.2, written with indent 2
+# as bench/run.py writes it) and what `bocl check --emit-ast` gave for it
+# when it was committed: stdout, stderr, and in the .result file the exit
+# code and the SHA-256 of the `sha256sum *.json` listing of the AST files.
+# CI compares the installed console script with the same files.
+GOLDEN = Path(__file__).resolve().parent / "data" / "check-many-s11"
+
+
+def test_check_output_matches_the_committed_golden_files(tmp_path, capsys):
+    out_dir = tmp_path / "ast"
+    code = main(["check", f"{GOLDEN}.model.json", "--emit-ast", str(out_dir)])
+    captured = capsys.readouterr()
+    assert captured.out == Path(f"{GOLDEN}.stdout").read_text(encoding="utf-8")
+    assert captured.err == Path(f"{GOLDEN}.stderr").read_text(encoding="utf-8")
+    listing = "".join(
+        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
+        for path in sorted(out_dir.glob("*.json"))
+    )
+    digest = hashlib.sha256(listing.encode()).hexdigest()
+    result = f"exit {code}\nast-sha256 {digest}\n"
+    assert result == Path(f"{GOLDEN}.result").read_text(encoding="utf-8")
 
 
 def test_check_reports_syntax_error(tmp_path, model_doc, capsys):

@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from bocl.lexer import ParseError, TokenKind, scan, tokenize
 
+from reference_lex import reference_scan
+
 
 def kinds_and_texts(source):
     return [(t.kind, t.text) for t in tokenize(source)]
@@ -211,3 +213,30 @@ def test_positions_point_at_source_text(source):
     assert _offset(source, eof.line, eof.col) == len(source)
     # The benchmark counts tokens with tokenize; the parser reads scan.
     assert len(tokens) == len(scan(source))
+
+
+# Fragments that stress each choice the scanner makes: keywords in mixed
+# case, comments beside '-' and '->', numbers with and without a fraction,
+# doubled and unterminated quotes, and characters that are not tokens.
+_FRAGMENTS = [
+    "context", "INV", "Self", "eNdIf", "AnD", "nOt", "True", "iF", "selfish", "Book", "_x9",
+    "--", "-- note\n", "-", "->", "-->", "<", ">", "<>", "<=", ">=", ":", "::", "=", ".",
+    "(", ")", "|", ",", "+", "*", "/", "0", "1.", "1.5", "1.5.x", "007", ".5",
+    "'", "''", "'a''b'", "'it''s", "'\n'", " ", "\t", "\r", "\n", "\x00", "é", "Ω", "٣", "!",
+]
+
+
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=25).map("".join))
+@settings(derandomize=True, max_examples=600, deadline=None)
+def test_scan_agrees_with_reference(source):
+    try:
+        expected = reference_scan(source)
+    except ParseError as error:
+        with pytest.raises(ParseError) as raised:
+            scan(source)
+        found = raised.value
+        assert (found.message, found.line, found.col) == (error.message, error.line, error.col)
+        # The text before the error scans alike as well.
+        source = source[:_offset(source, error.line, error.col)]
+        expected = reference_scan(source)
+    assert scan(source) == expected

@@ -1,11 +1,12 @@
-"""Syntax trees, typed trees and object instances are slotted records that
-nothing mutates: pin that convention and the records' shape."""
+"""Syntax trees, typed trees, property accesses, constraint definitions and
+object instances are slotted records that nothing mutates: pin that
+convention and the records' shape."""
 
 import copy
 import io
 import pickle
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -31,7 +32,7 @@ from bocl.evaluator import compile_model, evaluate_all, evaluate_constraint
 from bocl.model import ClassDef, ConstraintDef, ObjectInstance, StructuralModel
 from bocl.model_io import ReportFormat, load_objects, load_structural, write_report
 from bocl.parser import parse_constraint
-from bocl.resolver import TypedExpr, resolve
+from bocl.resolver import AttributeAccess, NavigationAccess, TypedExpr, resolve
 
 from conftest import MODEL_PATH, OBJECTS_PATH
 from generators import gen_typed_constraint, make_random_model, make_random_objects
@@ -56,6 +57,9 @@ _RECORD_FIELDS = {
     **_EXPR_FIELDS,
     ConstraintAst: ("context_class_name", "stereotype", "constraint_name", "body"),
     TypedExpr: ("node", "type", "children", "access"),
+    AttributeAccess: ("attribute",),
+    NavigationAccess: ("association", "end"),
+    ConstraintDef: ("name", "context_class", "expression", "language"),
     ObjectInstance: ("name", "classifier", "slots"),
 }
 
@@ -121,12 +125,19 @@ def test_the_pipeline_changes_none_of_its_inputs():
         assert [evaluate_constraint(t, objects) for t in typed] == verdicts
 
 
+def _accesses(typed):
+    return [node.access for node in _typed_nodes(typed.body) if node.access is not None]
+
+
 def test_records_are_slotted(library_model, library_objects):
     ast = parse_constraint(_EVERY_KIND)
     nodes = list(_nodes(ast.body))
     assert {type(node) for node in nodes} == set(_EXPR_FIELDS)
     typed = resolve(ast, library_model)
-    for record in (ast, *nodes, *_typed_nodes(typed.body), *library_objects.objects):
+    accesses = _accesses(typed)
+    assert {type(access) for access in accesses} == {AttributeAccess, NavigationAccess}
+    for record in (ast, *nodes, *_typed_nodes(typed.body), *accesses,
+                   *library_model.constraints, *library_objects.objects):
         assert "__slots__" in type(record).__dict__
         assert not hasattr(record, "__dict__")
 
@@ -138,6 +149,10 @@ def test_record_field_names_are_unchanged():
 
 def test_record_repr_is_unchanged():
     assert repr(PropertyExp(SelfExp(), "name")) == "PropertyExp(source=SelfExp(), name='name')"
+    assert repr(ConstraintDef("c", ClassDef("C"), "x")) == (
+        "ConstraintDef(name='c', context_class=ClassDef(name='C', attributes=()), "
+        "expression='x', language='OCL')"
+    )
     assert repr(ObjectInstance("o", ClassDef("C"))) == (
         "ObjectInstance(name='o', classifier=ClassDef(name='C', attributes=()), slots={})"
     )
@@ -153,6 +168,21 @@ def test_equal_parses_are_equal_and_hash_equal(library_model):
         assert a is not b and a == b and hash(a) == hash(b)
     other = parse_constraint(_EVERY_KIND.replace("2.5", "3.5"))
     assert other != first and resolve(other, library_model) != typed_first
+
+
+def test_constraint_defs_and_accesses_hash_as_their_fields(library_model):
+    # Equality and hash are those of the frozen dataclasses they replaced:
+    # both follow the tuple of the fields, in order.
+    typed = resolve(parse_constraint(_EVERY_KIND), library_model)
+    for record in (*library_model.constraints, *_accesses(typed)):
+        values = tuple(getattr(record, f.name) for f in fields(record))
+        twin = type(record)(*values)
+        assert twin is not record and twin == record
+        assert hash(twin) == hash(record) == hash(values)
+    first = library_model.constraints[0]
+    for name, value in (("name", "other"), ("context_class", ClassDef("Other")),
+                        ("expression", "true"), ("language", "other")):
+        assert replace(first, **{name: value}) != first
 
 
 def test_object_instances_stay_unhashable(library_objects):
