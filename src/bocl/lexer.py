@@ -3,19 +3,6 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from enum import Enum
-
-
-class TokenKind(Enum):
-    IDENT = "identifier"
-    INT = "integer"
-    REAL = "real"
-    STRING = "string"
-    KEYWORD = "keyword"
-    SYMBOL = "symbol"
-    EOF = "end of input"
-
 
 KEYWORDS = frozenset(
     {
@@ -48,24 +35,11 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-# Scanner tag -> token kind; a tag not listed is a symbol's text.
-_TAG_KINDS = dict.fromkeys(KEYWORDS, TokenKind.KEYWORD) | {
-    "ident": TokenKind.IDENT, "int": TokenKind.INT, "real": TokenKind.REAL,
-    "string": TokenKind.STRING, "eof": TokenKind.EOF,
+# Tag -> the word an error message names its token by; a tag not listed is
+# a symbol's text.
+_TAG_WORDS = dict.fromkeys(KEYWORDS, "keyword") | {
+    "ident": "identifier", "int": "integer", "real": "real", "string": "string",
 }
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: TokenKind
-    text: str
-    line: int
-    col: int
-
-    def describe(self) -> str:
-        if self.kind is TokenKind.EOF:
-            return "end of input"
-        return f"{self.kind.value} '{self.text}'"
 
 
 class ParseError(Exception):
@@ -85,11 +59,13 @@ def position(source: str, offset: int) -> tuple[int, int]:
 
 
 def describe(tag: str, text: str) -> str:
-    """How an error message names a scanned token."""
-    return Token(_TAG_KINDS.get(tag, TokenKind.SYMBOL), text, 0, 0).describe()
+    """How an error message names a token."""
+    if tag == "eof":
+        return "end of input"
+    return f"{_TAG_WORDS.get(tag, 'symbol')} '{text}'"
 
 
-def scan(source: str) -> list[tuple[str, str, int]]:
+def tokenize(source: str) -> list[tuple[str, str, int]]:
     """Split source into (tag, text, offset) entries, ending with ("eof", "", len(source)).
 
     A keyword's or symbol's tag is its text; any other token's tag is its
@@ -124,20 +100,3 @@ def scan(source: str) -> list[tuple[str, str, int]]:
             break
     append(("eof", "", len(source)))
     return entries
-
-
-def tokenize(source: str) -> list[Token]:
-    """Split source into tokens, ending with an EOF token: scan()'s entries
-    with a kind, and a 1-based line and column (characters since the last
-    newline) in place of the offset."""
-    tokens: list[Token] = []
-    line, line_start, last = 1, 0, 0
-    for tag, text, offset in scan(source):
-        newlines = source.count("\n", last, offset)
-        if newlines:
-            line += newlines
-            line_start = source.rindex("\n", last, offset) + 1
-        last = offset
-        kind = _TAG_KINDS.get(tag, TokenKind.SYMBOL)
-        tokens.append(Token(kind, text, line, offset - line_start + 1))
-    return tokens

@@ -157,41 +157,33 @@ class ObjectInstance:
     slots: dict[str, int | float | str | bool | datetime.date] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class LinkInstance:
-    name: str
-    association: BinaryAssociation
-    end1_object: ObjectInstance
-    end2_object: ObjectInstance
-
-
 _NAME = operator.attrgetter("name")
-_LINK_KEY = operator.attrgetter("association.name", "end1_object.name", "end2_object.name", "name")
 
 
 class _Links:
-    """ObjectModel.links: sorted by association, end1 and end2 object names, then link
-    name. A loaded model holds (name, association, end1, end2) tuples instead, made
-    LinkInstances on first read; evaluation and conformance read only adjacency rows."""
+    """ObjectModel.links: (name, association, end1, end2) tuples, sorted by
+    association, end1 and end2 object names, then link name, on first read;
+    evaluation and conformance read only adjacency rows."""
 
     def __get__(self, model: ObjectModel | None, owner: type | None = None) -> tuple:
         if model is None:
             return ()  # the field's default
         links = model.__dict__["links"]  # read once: another thread may replace it
         if type(links) is list:
-            links = tuple(sorted((LinkInstance(*link) for link in links), key=_LINK_KEY))
+            links = tuple(sorted(links, key=lambda link: (
+                link[1].name, link[2].name, link[3].name, link[0])))
             model.__dict__["links"] = links
         return links
 
     def __set__(self, model: ObjectModel, links) -> None:
-        model.__dict__["links"] = tuple(sorted(links, key=_LINK_KEY))
+        model.__dict__["links"] = list(links)
 
 
 @dataclass(frozen=True)
 class ObjectModel:
     name: str
     objects: tuple[ObjectInstance, ...] = ()
-    links: tuple[LinkInstance, ...] = _Links()
+    links: tuple[tuple[str, BinaryAssociation, ObjectInstance, ObjectInstance], ...] = _Links()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "objects", tuple(sorted(self.objects, key=lambda o: o.name)))
@@ -204,8 +196,7 @@ class ObjectModel:
             by_class.setdefault(obj.classifier.name, []).append(obj)
         object.__setattr__(self, "_objects", by_name)
         object.__setattr__(self, "_instances", by_class)
-        object.__setattr__(self, "_adjacency", _adjacency(
-            (l.name, l.association, l.end1_object, l.end2_object) for l in self.links))
+        object.__setattr__(self, "_adjacency", _adjacency(self.links))
 
     @classmethod
     def _wired(cls, name: str, objects: tuple[ObjectInstance, ...], links: list) -> ObjectModel:
@@ -430,16 +421,15 @@ def validate_conformance(
     # are walked only to name each one.
     if diags or any(far.classifier.name != end.target.name for ends in ends_of.values()
                     for _, end, rows in ends for row in rows.values() for far in row):
-        for link in objects.links:
-            assoc = model.association_named(link.association.name)
+        for link_name, link_assoc, end1, end2 in objects.links:
+            assoc = model.association_named(link_assoc.name)
             if assoc is None:
                 continue
-            for label, end, obj in (("end1", assoc.end1, link.end1_object),
-                                    ("end2", assoc.end2, link.end2_object)):
+            for label, end, obj in (("end1", assoc.end1, end1), ("end2", assoc.end2, end2)):
                 if obj.classifier.name != end.target.name:
                     message = (f"object '{obj.name}' is a {obj.classifier.name}, "
                                f"end '{end.role}' expects {end.target.name}")
-                    diags.append(_error(f"links[{link.name}].{label}", message))
+                    diags.append(_error(f"links[{link_name}].{label}", message))
 
     if any(d.severity is Severity.ERROR for d in diags):
         return diags

@@ -441,14 +441,14 @@ def objects_to_document(objects: ObjectModel) -> dict:
         ],
         "links": [
             {
-                "name": link.name,
-                "association": link.association.name,
+                "name": name,
+                "association": assoc.name,
                 "ends": [
-                    {"role": link.association.end1.role, "object": link.end1_object.name},
-                    {"role": link.association.end2.role, "object": link.end2_object.name},
+                    {"role": assoc.end1.role, "object": end1.name},
+                    {"role": assoc.end2.role, "object": end2.name},
                 ],
             }
-            for link in objects.links
+            for name, assoc, end1, end2 in objects.links
         ],
     }
 

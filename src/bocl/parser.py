@@ -42,7 +42,7 @@ from .ast import (
     UnaryOperator,
     VariableExp,
 )
-from .lexer import ParseError, describe, position, scan
+from .lexer import ParseError, describe, position, tokenize
 from .model import INT64_MAX
 
 # Scanner tag -> (operator, BINARY_PREC level) for every binary operator.
@@ -58,11 +58,11 @@ _UNSUPPORTED_STEREOTYPES = frozenset({"pre", "post", "derive", "init", "body", "
 
 
 class _TokenStream:
-    """scan()'s entries and the position of the next one; see lexer.scan."""
+    """tokenize()'s entries and the position of the next one; see lexer.tokenize."""
 
     def __init__(self, source: str):
         self.source = source
-        self.tokens = scan(source)
+        self.tokens = tokenize(source)
         self.pos = 0
         self.deepest = 0  # the deepest level reached; see _parse_expr
 

@@ -11,7 +11,6 @@ from bocl.model import (
     BinaryAssociation,
     ClassDef,
     ConstraintDef,
-    LinkInstance,
     Multiplicity,
     ObjectInstance,
     ObjectModel,
@@ -123,8 +122,8 @@ def build_library_objects(model: StructuralModel, pages: int = 20) -> ObjectMode
         },
     )
     links = (
-        LinkInstance("author_book_link", book_author, author_obj, book_obj),
-        LinkInstance("library_book_link", lib_book, library_obj, book_obj),
+        ("author_book_link", book_author, author_obj, book_obj),
+        ("library_book_link", lib_book, library_obj, book_obj),
     )
     return ObjectModel("Object model", (library_obj, book_obj, author_obj), links)
 

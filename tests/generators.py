@@ -45,7 +45,6 @@ from bocl.model import (
     Attribute,
     BinaryAssociation,
     ClassDef,
-    LinkInstance,
     Multiplicity,
     ObjectInstance,
     ObjectModel,
@@ -254,7 +253,7 @@ def make_random_objects(
     for a in objs_a:
         for b in objs_b:
             if rng.random() < 0.5:
-                links.append(LinkInstance(f"l{serial}", assoc, a, b))
+                links.append((f"l{serial}", assoc, a, b))
                 serial += 1
     return ObjectModel("objects", tuple(objs_a + objs_b), tuple(links))
 

@@ -75,13 +75,13 @@ def _linked_objects(
         raise RefEvalError("UnknownRole")
     assoc, position = hit
     names = {}
-    for link in objects.links:
-        if link.association.name != assoc.name:
+    for _, link_assoc, end1, end2 in objects.links:
+        if link_assoc.name != assoc.name:
             continue
-        if position == 1 and link.end2_object.name == source.name:
-            names[link.end1_object.name] = link.end1_object
-        elif position == 2 and link.end1_object.name == source.name:
-            names[link.end2_object.name] = link.end2_object
+        if position == 1 and end2.name == source.name:
+            names[end1.name] = end1
+        elif position == 2 and end1.name == source.name:
+            names[end2.name] = end2
     return [names[n] for n in sorted(names)]
 
 

@@ -1,6 +1,6 @@
 """Reference scanner for constraint text: the regex scanner that
-bocl.lexer.scan replaced, kept as it was, one match per token shape and one
-more per whitespace run. tests/test_lexer.py requires bocl.lexer.scan to
+bocl.lexer.tokenize replaced, kept as it was, one match per token shape and one
+more per whitespace run. tests/test_lexer.py requires bocl.lexer.tokenize to
 give the same entries, or to raise a ParseError with the same message,
 line and column."""
 

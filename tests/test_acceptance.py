@@ -112,16 +112,9 @@ def _with_library_name(model, new_name):
             obj = ObjectInstance(obj.name, obj.classifier, slots)
         replaced.append(obj)
     by_name = {o.name: o for o in replaced}
-    from bocl.model import LinkInstance
-
     links = tuple(
-        LinkInstance(
-            l.name,
-            l.association,
-            by_name[l.end1_object.name],
-            by_name[l.end2_object.name],
-        )
-        for l in base.links
+        (name, assoc, by_name[end1.name], by_name[end2.name])
+        for name, assoc, end1, end2 in base.links
     )
     return ObjectModel(base.name, tuple(replaced), links)
 

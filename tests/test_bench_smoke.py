@@ -32,3 +32,7 @@ def test_bench_workload_runs_clean(workload, trace):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["failed"] == 0
     assert result["correct"] is True
+    # No time can be below zero; one that is was mismeasured.
+    negative = {name: metric["value"] for name, metric in result["metrics"].items()
+                if metric["unit"] in ("s", "ms") and metric["value"] < 0}
+    assert not negative

@@ -38,7 +38,6 @@ from bocl.model import (
     BinaryAssociation,
     ClassDef,
     ConstraintDef,
-    LinkInstance,
     Multiplicity,
     ObjectInstance,
     ObjectModel,
@@ -325,7 +324,7 @@ def _keyword_model():
     b3 = ObjectInstance("b3", box, {"len": 5})
     b4 = ObjectInstance("b4", box, {"len": 1, "None": False})  # linked to no Item
     links = tuple(
-        LinkInstance(f"l{k}", assoc, owner, box_obj)
+        (f"l{k}", assoc, owner, box_obj)
         for k, (owner, box_obj) in enumerate([(i1, b1), (i1, b2), (i2, b3)])
     )
     return model, ObjectModel("keywords", (i1, i2, b1, b2, b3, b4), links)

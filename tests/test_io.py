@@ -859,7 +859,7 @@ def test_unnamed_links_are_named_by_position(tmp_path, capsys, objects_doc, libr
         doc = dict(objects_doc, links=links)
         outputs.append(_link_outputs(tmp_path, capsys, MODEL_PATH, library_model, doc))
         loaded = objects_from_document(doc, library_model)
-        names.append(sorted((link.association.name, link.name) for link in loaded.links))
+        names.append(sorted((assoc.name, name) for name, assoc, _, _ in loaded.links))
     (rows, saved, reports), (rows_reversed, saved_reversed, reports_reversed) = outputs
     assert rows_reversed == rows and reports_reversed == reports
     assert saved_reversed != saved

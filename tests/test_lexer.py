@@ -2,35 +2,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bocl.lexer import ParseError, TokenKind, scan, tokenize
+from bocl import lexer
+from bocl.lexer import KEYWORDS, ParseError, tokenize
+from bocl.parser import parse_expression
 
 from reference_lex import reference_scan
 
 
-def kinds_and_texts(source):
-    return [(t.kind, t.text) for t in tokenize(source)]
+def tags_and_texts(source):
+    return [(tag, text) for tag, text, _ in tokenize(source)]
 
 
 def test_simple_constraint_body():
-    assert kinds_and_texts("self.pages>0") == [
-        (TokenKind.KEYWORD, "self"),
-        (TokenKind.SYMBOL, "."),
-        (TokenKind.IDENT, "pages"),
-        (TokenKind.SYMBOL, ">"),
-        (TokenKind.INT, "0"),
-        (TokenKind.EOF, ""),
+    assert tags_and_texts("self.pages>0") == [
+        ("self", "self"),
+        (".", "."),
+        ("ident", "pages"),
+        (">", ">"),
+        ("int", "0"),
+        ("eof", ""),
     ]
 
 
 def test_string_literal_content():
     tokens = tokenize("'Children Library'")
-    assert tokens[0].kind is TokenKind.STRING
-    assert tokens[0].text == "Children Library"
+    assert tokens[0][:2] == ("string", "Children Library")
 
 
 def test_string_escaped_quote():
     tokens = tokenize("'it''s'")
-    assert tokens[0].text == "it's"
+    assert tokens[0][1] == "it's"
 
 
 def test_unterminated_string_position():
@@ -53,62 +54,63 @@ def test_illegal_character():
 
 
 def test_comments_skipped():
-    assert kinds_and_texts("1 -- the rest is ignored\n2") == [
-        (TokenKind.INT, "1"),
-        (TokenKind.INT, "2"),
-        (TokenKind.EOF, ""),
+    assert tags_and_texts("1 -- the rest is ignored\n2") == [
+        ("int", "1"),
+        ("int", "2"),
+        ("eof", ""),
     ]
 
 
 def test_arrow_is_not_a_comment():
     tokens = tokenize("x->size()")
-    assert [t.text for t in tokens[:2]] == ["x", "->"]
+    assert [text for _, text, _ in tokens[:2]] == ["x", "->"]
 
 
 def test_keywords_case_insensitive_and_normalized():
-    tokens = tokenize("IF Then ENDIF")
-    assert [(t.kind, t.text) for t in tokens[:3]] == [
-        (TokenKind.KEYWORD, "if"),
-        (TokenKind.KEYWORD, "then"),
-        (TokenKind.KEYWORD, "endif"),
+    assert tags_and_texts("IF Then ENDIF")[:3] == [
+        ("if", "if"),
+        ("then", "then"),
+        ("endif", "endif"),
     ]
 
 
 def test_identifiers_case_sensitive():
-    tokens = tokenize("Pages pages")
-    assert tokens[0].kind is TokenKind.IDENT
-    assert tokens[0].text == "Pages"
-    assert tokens[1].text == "pages"
+    assert tags_and_texts("Pages pages")[:2] == [("ident", "Pages"), ("ident", "pages")]
 
 
 @pytest.mark.parametrize(
     "source,expected",
     [
-        ("1.5", [(TokenKind.REAL, "1.5")]),
-        ("1.", [(TokenKind.INT, "1"), (TokenKind.SYMBOL, ".")]),
-        ("1.foo", [(TokenKind.INT, "1"), (TokenKind.SYMBOL, "."), (TokenKind.IDENT, "foo")]),
-        ("007", [(TokenKind.INT, "007")]),
+        ("1.5", [("real", "1.5")]),
+        ("1.", [("int", "1"), (".", ".")]),
+        ("1.foo", [("int", "1"), (".", "."), ("ident", "foo")]),
+        ("007", [("int", "007")]),
     ],
 )
 def test_number_shapes(source, expected):
-    assert kinds_and_texts(source)[:-1] == expected
+    assert tags_and_texts(source)[:-1] == expected
 
 
 def test_two_char_symbols():
     tokens = tokenize(":: <> <= >= ->")
-    assert [t.text for t in tokens[:-1]] == ["::", "<>", "<=", ">=", "->"]
+    assert [(tag, text) for tag, text, _ in tokens[:-1]] == [
+        (symbol, symbol) for symbol in ["::", "<>", "<=", ">=", "->"]
+    ]
 
 
 def test_positions_track_lines():
-    tokens = tokenize("a\n  b")
-    assert (tokens[0].line, tokens[0].col) == (1, 1)
-    assert (tokens[1].line, tokens[1].col) == (2, 3)
+    source = "a\n  b"
+    tokens = tokenize(source)
+    assert [offset for _, _, offset in tokens] == [0, 4, 5]
+    assert lexer.position(source, tokens[0][2]) == (1, 1)
+    assert lexer.position(source, tokens[1][2]) == (2, 3)
 
 
 def test_tokens_tile_eof_position():
-    tokens = tokenize("ab cd")
-    assert tokens[-1].kind is TokenKind.EOF
-    assert (tokens[-1].line, tokens[-1].col) == (1, 6)
+    source = "ab cd"
+    tokens = tokenize(source)
+    assert tokens[-1] == ("eof", "", 5)
+    assert lexer.position(source, tokens[-1][2]) == (1, 6)
 
 
 @given(st.text(max_size=200))
@@ -119,7 +121,7 @@ def test_tokenize_total_on_arbitrary_text(source):
         tokens = tokenize(source)
     except ParseError:
         return
-    assert tokens[-1].kind is TokenKind.EOF
+    assert tokens[-1] == ("eof", "", len(source))
 
 
 @given(st.binary(max_size=200))
@@ -160,24 +162,24 @@ def test_non_ascii_letters_and_digits_are_illegal(source):
     ],
 )
 def test_token_positions(source, index, position):
-    token = tokenize(source)[index]
-    assert (token.line, token.col) == position
+    assert lexer.position(source, tokenize(source)[index][2]) == position
 
 
 def test_tokens_of_multi_line_source():
     source = "context Book inv -- header\n  self.title <> 'it''s\na' -- tail\n\tAND 1.5"
-    assert [(t.kind, t.text, t.line, t.col) for t in tokenize(source)] == [
-        (TokenKind.KEYWORD, "context", 1, 1),
-        (TokenKind.IDENT, "Book", 1, 9),
-        (TokenKind.KEYWORD, "inv", 1, 14),
-        (TokenKind.KEYWORD, "self", 2, 3),
-        (TokenKind.SYMBOL, ".", 2, 7),
-        (TokenKind.IDENT, "title", 2, 8),
-        (TokenKind.SYMBOL, "<>", 2, 14),
-        (TokenKind.STRING, "it's\na", 2, 17),
-        (TokenKind.KEYWORD, "and", 4, 2),
-        (TokenKind.REAL, "1.5", 4, 6),
-        (TokenKind.EOF, "", 4, 9),
+    assert [(tag, text, *lexer.position(source, offset))
+            for tag, text, offset in tokenize(source)] == [
+        ("context", "context", 1, 1),
+        ("ident", "Book", 1, 9),
+        ("inv", "inv", 1, 14),
+        ("self", "self", 2, 3),
+        (".", ".", 2, 7),
+        ("ident", "title", 2, 8),
+        ("<>", "<>", 2, 14),
+        ("string", "it's\na", 2, 17),
+        ("and", "and", 4, 2),
+        ("real", "1.5", 4, 6),
+        ("eof", "", 4, 9),
     ]
 
 
@@ -195,24 +197,25 @@ def test_positions_point_at_source_text(source):
     try:
         tokens = tokenize(source)
     except ParseError as error:
-        with pytest.raises(ParseError) as scanned:
-            scan(source)
-        assert (scanned.value.line, scanned.value.col) == (error.line, error.col)
+        # The parser reports the scanner's error as it is.
+        with pytest.raises(ParseError) as parsed:
+            parse_expression(source)
+        assert (parsed.value.message, parsed.value.line, parsed.value.col) == (
+            error.message, error.line, error.col)
         at = source[_offset(source, error.line, error.col)]
         assert at == "'" if "unterminated" in error.message else repr(at) in error.message
         return
-    for token in tokens[:-1]:
-        at = source[_offset(source, token.line, token.col):]
-        if token.kind is TokenKind.STRING:
-            assert at.startswith("'" + token.text.replace("'", "''") + "'")
-        elif token.kind is TokenKind.KEYWORD:
-            assert at.lower().startswith(token.text)
+    for tag, text, offset in tokens:
+        # position() gives the 1-based line and column that ParseError reports.
+        assert _offset(source, *lexer.position(source, offset)) == offset
+        at = source[offset:]
+        if tag == "string":
+            assert at.startswith("'" + text.replace("'", "''") + "'")
+        elif tag in KEYWORDS:
+            assert at.lower().startswith(text)
         else:
-            assert at.startswith(token.text)
-    eof = tokens[-1]
-    assert _offset(source, eof.line, eof.col) == len(source)
-    # The benchmark counts tokens with tokenize; the parser reads scan.
-    assert len(tokens) == len(scan(source))
+            assert at.startswith(text)
+    assert tokens[-1] == ("eof", "", len(source))
 
 
 # Fragments that stress each choice the scanner makes: keywords in mixed
@@ -233,10 +236,10 @@ def test_scan_agrees_with_reference(source):
         expected = reference_scan(source)
     except ParseError as error:
         with pytest.raises(ParseError) as raised:
-            scan(source)
+            tokenize(source)
         found = raised.value
         assert (found.message, found.line, found.col) == (error.message, error.line, error.col)
         # The text before the error scans alike as well.
         source = source[:_offset(source, error.line, error.col)]
         expected = reference_scan(source)
-    assert scan(source) == expected
+    assert tokenize(source) == expected

@@ -11,7 +11,6 @@ from bocl.model import (
     Attribute,
     BinaryAssociation,
     ClassDef,
-    LinkInstance,
     Multiplicity,
     ObjectInstance,
     ObjectModel,
@@ -212,7 +211,7 @@ def test_link_end_class_mismatch(built_model):
     book = built_model.class_named("Book")
     wrong = ObjectInstance("who", author, {})
     b = ObjectInstance("b", book, {})
-    link = LinkInstance("l", lib_book, wrong, b)
+    link = ("l", lib_book, wrong, b)
     diags = validate_conformance(ObjectModel("m", (wrong, b), (link,)), built_model)
     assert any("expects Library" in d.message for d in diags)
 
@@ -226,10 +225,10 @@ def test_link_to_missing_object_is_left_to_the_loader(built_model):
     ghost = ObjectInstance("ghost", library, {})
     b = ObjectInstance("b", book, {})
     foreign = BinaryAssociation("foreign", lib_book.end1, lib_book.end2)
-    for link in (LinkInstance("l", lib_book, ghost, b), LinkInstance("l", foreign, b, b)):
+    for link in (("l", lib_book, ghost, b), ("l", foreign, b, b)):
         diags = validate_conformance(ObjectModel("m", (b,), (link,)), built_model)
         assert all(d.severity is Severity.WARNING for d in diags)
-    objects = ObjectModel("m", (b,), (LinkInstance("l", lib_book, ghost, b),))
+    objects = ObjectModel("m", (b,), (("l", lib_book, ghost, b),))
     assert navigate(objects, b, "locatedIn", built_model) == [ghost]
 
 
@@ -287,8 +286,8 @@ def test_navigate_deduplicates_parallel_links(built_model):
     lib = ObjectInstance("lib", library, {})
     b = ObjectInstance("b", book, {})
     links = (
-        LinkInstance("l1", lib_book, lib, b),
-        LinkInstance("l2", lib_book, lib, b),
+        ("l1", lib_book, lib, b),
+        ("l2", lib_book, lib, b),
     )
     objects = ObjectModel("m", (lib, b), links)
     assert [o.name for o in navigate(objects, lib, "contains", built_model)] == ["b"]
@@ -398,9 +397,9 @@ def test_self_association_navigates_each_role_its_own_way():
     person, parenthood, model = _person_model()
     mum, kid, baby = (ObjectInstance(n, person, {}) for n in ("mum", "kid", "baby"))
     links = (
-        LinkInstance("l1", parenthood, mum, kid),
-        LinkInstance("l2", parenthood, mum, baby),
-        LinkInstance("l3", parenthood, mum, kid),  # the same link twice
+        ("l1", parenthood, mum, kid),
+        ("l2", parenthood, mum, baby),
+        ("l3", parenthood, mum, kid),  # the same link twice
     )
     for order in (links, links[::-1]):
         objects = ObjectModel("m", (mum, kid, baby), order)
@@ -432,9 +431,9 @@ def test_unvalidated_duplicates_keep_first_and_last_wins_rules():
     twin1 = ObjectInstance("twin", first_a, {})
     twin2 = ObjectInstance("twin", second_a, {})
     links = (
-        LinkInstance("z", new, twin1, src),
-        LinkInstance("y", new, twin2, src),
-        LinkInstance("x", old, twin2, src),
+        ("z", new, twin1, src),
+        ("y", new, twin2, src),
+        ("x", old, twin2, src),
     )
     for order in (links, links[::-1]):
         objects = ObjectModel("m", (twin1, src, twin2), order)

@@ -24,7 +24,7 @@ from bocl.ast import (
     VariableExp,
     pretty_print,
 )
-from bocl.lexer import ParseError, tokenize
+from bocl.lexer import ParseError, position, tokenize
 from bocl.parser import parse_constraint, parse_expression
 
 from generators import gen_syntactic_constraint
@@ -271,13 +271,34 @@ def test_syntax_errors_point_at_a_token(seed, swaps, separator, keep):
     try:
         parse_constraint(source)
     except ParseError as error:
-        assert (error.line, error.col) in {(t.line, t.col) for t in tokens}, error
+        starts = {position(source, offset) for _, _, offset in tokens}
+        assert (error.line, error.col) in starts, error
 
 
 def test_missing_context_keyword():
     with pytest.raises(ParseError) as exc:
         parse_constraint("Book inv x: true")
     assert "'context'" in exc.value.expected
+
+
+# The word a syntax error names each kind of token by.
+@pytest.mark.parametrize(
+    "tail,message",
+    [
+        ("true 2", "1:26: expected end of input, found integer '2'"),
+        ("true 1.5", "1:26: expected end of input, found real '1.5'"),
+        ("true 'b'", "1:26: expected end of input, found string 'b'"),
+        ("true SELF", "1:26: expected end of input, found keyword 'self'"),
+        ("true ::", "1:26: expected end of input, found symbol '::'"),
+        ("true y", "1:26: expected end of input, found identifier 'y'"),
+        (")", "1:21: expected expression, found symbol ')'"),
+        ("", "1:21: expected expression, found end of input"),
+    ],
+)
+def test_syntax_errors_name_the_token_found(tail, message):
+    with pytest.raises(ParseError) as exc:
+        parse_constraint("context Book inv x: " + tail)
+    assert str(exc.value) == message
 
 
 # -- round-trip properties --
