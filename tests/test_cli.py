@@ -66,6 +66,25 @@ def test_check_output_matches_the_committed_golden_files(tmp_path, capsys):
     assert result == Path(f"{GOLDEN}.result").read_text(encoding="utf-8")
 
 
+# Two object models of the benchmark's eval families, seed 11, written with
+# indent 2 as bench/run.py writes them: eval-wide at scale 0.01 (an Error
+# verdict, exit 2) and eval-linked at scale 0.05 (a multiplicity warning,
+# exit 1). With each: what `bocl eval` gave when it was committed, its text
+# report (.stdout), its JSON report (.report.json), the stderr both formats
+# give, and the exit code (.result). CI compares the console script with them.
+EVAL_GOLDENS = [GOLDEN.with_name(tag) for tag in ("eval-wide-s11", "eval-linked-s11")]
+
+
+@pytest.mark.parametrize("golden", EVAL_GOLDENS, ids=lambda path: path.name)
+@pytest.mark.parametrize("fmt, suffix", [("text", "stdout"), ("json", "report.json")])
+def test_eval_output_matches_the_committed_golden_files(golden, fmt, suffix, capsys):
+    code = main(["eval", f"{golden}.model.json", f"{golden}.objects.json", "--format", fmt])
+    captured = capsys.readouterr()
+    assert captured.out == Path(f"{golden}.{suffix}").read_text(encoding="utf-8")
+    assert captured.err == Path(f"{golden}.stderr").read_text(encoding="utf-8")
+    assert f"exit {code}\n" == Path(f"{golden}.result").read_text(encoding="utf-8")
+
+
 def test_check_reports_syntax_error(tmp_path, model_doc, capsys):
     model_doc["constraints"][0]["expression"] = "context Book inv: self.pages >"
     path = write(tmp_path, "m.json", model_doc)
