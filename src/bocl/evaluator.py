@@ -28,16 +28,10 @@ from .ast import (
 )
 from .lexer import ParseError
 from .model import (
-    ConstraintDef, ObjectInstance, ObjectModel, StructuralModel, _far_rows, instances_of)
+    Attribute, ConstraintDef, ObjectInstance, ObjectModel, StructuralModel, _far_rows,
+    instances_of)
 from .parser import parse_constraint
-from .resolver import (
-    AttributeAccess,
-    ResolutionFailure,
-    TypedConstraint,
-    TypedExpr,
-    TypeKind,
-    resolve,
-)
+from .resolver import ResolutionFailure, TypedConstraint, TypedExpr, TypeKind, resolve
 
 # ---------- Runtime errors ----------
 
@@ -187,8 +181,8 @@ def _generate(typed: TypedConstraint, objects: ObjectModel) -> Callable[[list, C
             return ast.IfExp(*parts)
 
         source, access = parts[0], typed.access
-        if isinstance(access, AttributeAccess):
-            key = ast.Constant(access.attribute.name)
+        if isinstance(access, Attribute):
+            key = ast.Constant(access.name)
             if in_source:
                 return _call("_slot", source, key)
             # (_t1 if (_t1 := obj.slots.get(key)) is not None else _slot(obj, key)),
@@ -199,12 +193,12 @@ def _generate(typed: TypedConstraint, objects: ObjectModel) -> Callable[[list, C
             read = ast.NamedExpr(ast.Name(value, _STORE), _call(_get(_get(obj, "slots"), "get"), key))
             held = ast.Compare(read, [ast.IsNot()], [ast.Constant(None)])
             return ast.IfExp(held, _load(value), _call("_slot", again, key))
-        # The resolver picked this end from the model's role table, the one
-        # navigate() reads, so the adjacency row toward it is bound here once.
-        row = f"_r{next(count)}"
-        namespace[row] = _far_rows(objects, access.association, access.end)
-        if access.end.multiplicity.upper == 1:
-            return _call("_to_one", _load(row), source, ast.Constant(access.end.role))
+        # The resolver picked this (association, end) from the model's role
+        # table, the one navigate() reads, so the row toward it is bound here once.
+        row, end = f"_r{next(count)}", access[1]
+        namespace[row] = _far_rows(objects, *access)
+        if end.multiplicity.upper == 1:
+            return _call("_to_one", _load(row), source, ast.Constant(end.role))
         return _call(_get(_load(row), "get"), _get(source, "name"), ast.Constant(()))
 
     def iterator(typed: TypedExpr, in_source: bool) -> ast.expr:

@@ -20,6 +20,12 @@ def is_identifier(name: str) -> bool:
     return bool(IDENTIFIER_RE.match(name))
 
 
+def _by_name(records) -> dict:
+    """Name -> record, for a sequence of named records; of a duplicated name,
+    the first record wins. The one index rule of every model table."""
+    return {record.name: record for record in reversed(records)}
+
+
 # ---------- Structural model ----------
 
 class PrimitiveType(Enum):
@@ -55,8 +61,12 @@ class ClassDef:
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.attributes, key=lambda a: a.name))
         object.__setattr__(self, "attributes", ordered)
-        # Not a field, as StructuralModel's tables; the first of a duplicate name wins.
-        object.__setattr__(self, "_attributes", {a.name: a for a in reversed(ordered)})
+        # Not fields, as StructuralModel's tables: attribute name -> the Attribute,
+        # and -> the exact Python type of its slot values (SLOT_TYPES).
+        attributes = _by_name(ordered)
+        object.__setattr__(self, "_attributes", attributes)
+        object.__setattr__(self, "_slot_types", {
+            name: SLOT_TYPES[attr.type] for name, attr in attributes.items()})
 
     def attribute_named(self, name: str) -> Attribute | None:
         return self._attributes.get(name)
@@ -122,17 +132,12 @@ class StructuralModel:
         # plain attributes, not fields: equality, hash and repr ignore them.
         # On duplicate names the first class or association wins; an
         # ambiguous role keeps the last association in name order.
-        classes: dict[str, ClassDef] = {}
-        for cls in self.classes:
-            classes.setdefault(cls.name, cls)
-        associations: dict[str, BinaryAssociation] = {}
         roles: dict[str, dict[str, tuple[BinaryAssociation, AssociationEnd]]] = {}
         for assoc in self.associations:
-            associations.setdefault(assoc.name, assoc)
             for end, opposite in ((assoc.end1, assoc.end2), (assoc.end2, assoc.end1)):
                 roles.setdefault(opposite.target.name, {})[end.role] = (assoc, end)
-        object.__setattr__(self, "_classes", classes)
-        object.__setattr__(self, "_associations", associations)
+        object.__setattr__(self, "_classes", _by_name(self.classes))
+        object.__setattr__(self, "_associations", _by_name(self.associations))
         object.__setattr__(self, "_roles", roles)
 
     def class_named(self, name: str) -> ClassDef | None:
@@ -186,24 +191,20 @@ class ObjectModel:
     links: tuple[tuple[str, BinaryAssociation, ObjectInstance, ObjectInstance], ...] = _Links()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "objects", tuple(sorted(self.objects, key=lambda o: o.name)))
+        object.__setattr__(self, "objects", tuple(sorted(self.objects, key=_NAME)))
         # Lookup tables, built eagerly as in StructuralModel; the first object
         # of a duplicate name wins.
-        by_name: dict[str, ObjectInstance] = {}
         by_class: dict[str, list[ObjectInstance]] = {}
         for obj in self.objects:
-            by_name.setdefault(obj.name, obj)
             by_class.setdefault(obj.classifier.name, []).append(obj)
-        object.__setattr__(self, "_objects", by_name)
+        object.__setattr__(self, "_objects", _by_name(self.objects))
         object.__setattr__(self, "_instances", by_class)
         object.__setattr__(self, "_adjacency", _adjacency(self.links))
 
-    @classmethod
-    def _wired(cls, name: str, objects: tuple[ObjectInstance, ...], links: list) -> ObjectModel:
-        """The model over links as (name, association, end1, end2) tuples, checked by the loader."""
-        model = cls(name, objects)
-        model.__dict__.update(links=links, _adjacency=_adjacency(links))
-        return model
+    def _attach(self, links: list) -> None:
+        """Give the model links as (name, association, end1, end2) tuples, which
+        the loader wired through its _objects and checked."""
+        self.__dict__.update(links=links, _adjacency=_adjacency(links))
 
     def object_named(self, name: str) -> ObjectInstance | None:
         return self._objects.get(name)
@@ -366,9 +367,6 @@ def validate_conformance(
     """
     diags: list[ModelDiagnostic] = []
 
-    # Per model class: slot name -> the exact Python type of its value.
-    slot_types = {name: {slot: SLOT_TYPES[attr.type] for slot, attr in cls._attributes.items()}
-                  for name, cls in model._classes.items()}
     seen_names: set[str] = set()
     for obj in objects.objects:
         if obj.name in seen_names:
@@ -387,7 +385,7 @@ def validate_conformance(
             diags.append(_error(f"objects[{obj.name}]", message))
             continue
 
-        types = slot_types[model_cls.name]
+        types = model_cls._slot_types
         for slot_name, value in obj.slots.items():
             expected = types.get(slot_name)
             if type(value) is expected and (

@@ -41,8 +41,8 @@ from .model import (
     ObjectModel,
     PrimitiveType,
     Severity,
-    SLOT_TYPES,
     StructuralModel,
+    _by_name,
     validate_conformance,
     validate_structural,
 )
@@ -64,7 +64,6 @@ _ASSOC_END_KEYS = frozenset({"role", "target", "multiplicity"})
 _MULTIPLICITY_KEYS = frozenset({"lower", "upper"})
 _CONSTRAINT_KEYS = frozenset({"name", "context", "expression", "language"})
 _TYPES = {ptype.value: ptype for ptype in PrimitiveType}
-_DECODED = (PrimitiveType.DATE, PrimitiveType.REAL)
 
 
 class IoErrorKind(Enum):
@@ -229,7 +228,7 @@ def structural_from_document(doc: dict) -> StructuralModel:
     # An unknown class name gets a placeholder ClassDef; validate_structural
     # reports it as "not a model class". A duplicated name means its first
     # class, the one StructuralModel indexes.
-    by_name = {cls.name: cls for cls in reversed(classes)}
+    by_name = _by_name(classes)
 
     associations = []
     for i, raw in enumerate(_list_field(doc, "associations", "model document")):
@@ -331,14 +330,15 @@ def save_structural(model: StructuralModel, path: str | Path) -> None:
 # ---------- Object model ----------
 
 def _decode_slot(value: object, target: type, index: int, attr_name: str) -> object:
-    """Decode what JSON cannot express for a slot of Python type target: a date,
-    or a whole number for a real. Other values are left to validate_conformance."""
+    """Decode what JSON cannot express for a slot of Python type target: a
+    "YYYY-MM-DD" string for a date, or a whole number for a real. Any other
+    value, for any target, is returned unchanged for validate_conformance."""
     if target is float and type(value) is int:
         try:
             return float(value)
         except OverflowError:
             return math.inf if value > 0 else -math.inf
-    if target is float or not isinstance(value, str):
+    if target is not datetime.date or not isinstance(value, str):
         return value
     if _DATE_RE.match(value):
         try:
@@ -356,19 +356,15 @@ def objects_from_document(doc: dict, model: StructuralModel) -> ObjectModel:
     Raises IoError for a malformed shape, a date it cannot decode, or a
     link it cannot wire to the structural model. An unknown class gets a
     placeholder ClassDef; that and every slot problem are left to
-    validate_conformance. The document itself is not changed.
+    validate_conformance. The objects are built first, into the ObjectModel
+    returned; each link end is then that model's object_named() object, so
+    of a duplicated object name the first object is the one linked. The
+    document itself is not changed.
     """
     _check_keys(doc, {"schemaVersion", "name"}, {"objects", "links"}, "objects document")
     name = _str_field(doc, "name", "objects document")
 
-    # Per model class: the class, and the Python type of each attribute
-    # whose JSON value may need decoding (dates, and reals as whole numbers).
-    tables = {
-        class_name: (cls, {
-            a.name: SLOT_TYPES[a.type] for a in cls._attributes.values() if a.type in _DECODED
-        })
-        for class_name, cls in model._classes.items()
-    }
+    classes = model._classes
     objects = []
     for i, raw in enumerate(_list_field(doc, "objects", "objects document")):
         if not (isinstance(raw, dict) and raw.keys() <= _OBJECT_KEYS  # the hot case, inline
@@ -377,16 +373,17 @@ def objects_from_document(doc: dict, model: StructuralModel) -> ObjectModel:
         slots_raw = raw.get("slots", {})
         if not isinstance(slots_raw, dict):
             raise _malformed(f"objects[{i}].slots must be an object")
-        cls, decoded = tables.get(raw["class"]) or (ClassDef(raw["class"]), {})
+        cls = classes.get(raw["class"]) or ClassDef(raw["class"])
+        types = cls._slot_types
         slots = dict(slots_raw)
         for attr_name, value in slots_raw.items():
-            target = decoded.get(attr_name)
+            target = types.get(attr_name)
             if target is not None and type(value) is not target:
                 slots[attr_name] = _decode_slot(value, target, i, attr_name)
         objects.append(ObjectInstance(raw["name"], cls, slots))
 
-    # A duplicated name means its first object, the one ObjectModel indexes.
-    obj_by_name = {obj.name: obj for obj in reversed(objects)}
+    result = ObjectModel(name, tuple(objects))
+    by_name = result._objects
     # Per association name: the association, and the end index of each role.
     wiring = {assoc_name: (assoc, {assoc.end1.role: 0, assoc.end2.role: 1})
               for assoc_name, assoc in model._associations.items()}
@@ -413,7 +410,7 @@ def objects_from_document(doc: dict, model: StructuralModel) -> ObjectModel:
             if k is None or ends[k] is not None:
                 what = f"association '{assoc_name}' has no" if k is None else "duplicate"
                 raise _conformance(f"links[{i}].ends[{j}]: {what} role {end['role']!r}")
-            ends[k] = obj_by_name.get(end["object"])
+            ends[k] = by_name.get(end["object"])
             if ends[k] is None:
                 raise _conformance(f"links[{i}].ends[{j}]: unknown object {end['object']!r}")
         link_name = raw["name"] if "name" in raw else f"{assoc_name}_{i}"
@@ -421,7 +418,8 @@ def objects_from_document(doc: dict, model: StructuralModel) -> ObjectModel:
             raise _malformed(f"links[{i}].name must be a string")
         links.append((link_name, assoc, ends[0], ends[1]))
 
-    return ObjectModel._wired(name, tuple(objects), links)
+    result._attach(links)
+    return result
 
 
 def objects_to_document(objects: ObjectModel) -> dict:

@@ -129,25 +129,14 @@ class ResolutionFailure(Exception):
         self.errors = tuple(errors)
 
 
-# How a resolved PropertyExp reads its value at evaluation time.
-
-@dataclass(slots=True, unsafe_hash=True)
-class AttributeAccess:
-    attribute: Attribute
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class NavigationAccess:
-    association: BinaryAssociation
-    end: AssociationEnd  # the far end whose role was navigated
-
-
 @dataclass(slots=True, unsafe_hash=True)
 class TypedExpr:
     node: Expr
     type: OclType
     children: tuple["TypedExpr", ...] = ()
-    access: AttributeAccess | NavigationAccess | None = None
+    # What a PropertyExp reads, as the model holds it: the class's Attribute, or
+    # the (association, far end) entry of the role navigated from its _roles.
+    access: Attribute | tuple[BinaryAssociation, AssociationEnd] | None = None
 
 
 @dataclass(frozen=True)
@@ -155,7 +144,6 @@ class TypedConstraint:
     ast: ConstraintAst
     context_class: ClassDef
     body: TypedExpr
-    model: StructuralModel
 
 
 class _Resolver:
@@ -209,9 +197,7 @@ class _Resolver:
             return TypedExpr(expr, ERROR_T, (source,))
         attr = cls._attributes.get(expr.name)
         if attr is not None:
-            return TypedExpr(
-                expr, _PRIMITIVE_TYPES[attr.type], (source,), AttributeAccess(attr)
-            )
+            return TypedExpr(expr, _PRIMITIVE_TYPES[attr.type], (source,), attr)
         found = self.roles.get(cls.name, {}).get(expr.name)
         if found is not None:
             end = found[1]
@@ -220,7 +206,7 @@ class _Resolver:
                 result = target
             else:
                 result = collection_type(target)
-            return TypedExpr(expr, result, (source,), NavigationAccess(*found))
+            return TypedExpr(expr, result, (source,), found)
         t = self.fail(
             ResolutionErrorKind.UNKNOWN_PROPERTY,
             path,
@@ -458,4 +444,4 @@ def resolve(ast: ConstraintAst, model: StructuralModel) -> TypedConstraint:
     if resolver.errors:
         raise ResolutionFailure(resolver.errors)
     assert context_class is not None
-    return TypedConstraint(ast, context_class, body, model)
+    return TypedConstraint(ast, context_class, body)

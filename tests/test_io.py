@@ -1,8 +1,10 @@
 import copy
 import datetime
+import errno
 import io
 import json
 import math
+import os
 import random
 
 import pytest
@@ -76,6 +78,23 @@ def test_missing_file(tmp_path):
     assert exc.value.kind is IoErrorKind.NOT_FOUND
 
 
+def test_directory_is_not_found(tmp_path):
+    with pytest.raises(IoError) as exc:
+        load_structural(tmp_path)
+    reason = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path)!r}"
+    assert str(exc.value) == f"NotFound: cannot read {tmp_path}: {reason}"
+
+
+@pytest.mark.parametrize("root", ["[]", "3", '"bocl-model/1"', "null"])
+def test_document_root_must_be_an_object(tmp_path, library_model, root):
+    path = tmp_path / "doc.json"
+    path.write_text(root)
+    for load in (load_structural, lambda path: load_objects(path, library_model)):
+        with pytest.raises(IoError) as exc:
+            load(path)
+        assert str(exc.value) == "Malformed: document root must be an object"
+
+
 def test_wrong_schema_version(tmp_path, model_doc):
     model_doc["schemaVersion"] = "bocl-model/99"
     path = tmp_path / "m.json"
@@ -129,6 +148,18 @@ def test_unknown_end_target_is_validation_error(tmp_path, model_doc):
     assert any("Shelf" in d.message for d in exc.value.diagnostics)
 
 
+def test_negative_lower_bound_is_a_validation_error(tmp_path, model_doc):
+    model_doc["associations"][1]["ends"][0]["multiplicity"]["lower"] = -1
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(model_doc))
+    with pytest.raises(IoError) as exc:
+        load_structural(path)
+    assert str(exc.value) == (
+        "Validation: error: associations[book_author_assoc].end1.multiplicity: "
+        "negative lower bound -1"
+    )
+
+
 def test_validation_diagnostics_carried(tmp_path, model_doc):
     model_doc["classes"].append({"name": "Book", "attributes": []})
     path = tmp_path / "m.json"
@@ -165,6 +196,33 @@ def test_duplicate_object_name_is_the_only_error(tmp_path, objects_doc, library_
     assert [str(d) for d in exc.value.diagnostics] == [
         "error: objects[library_obj]: duplicate object name 'library_obj'"
     ]
+
+
+def test_link_ends_are_the_models_own_objects(objects_doc, library_model):
+    # Each link end is the returned model's object_named() object, by
+    # identity; of a duplicated object name, the first in the document.
+    second = {"name": "library_obj", "class": "Library", "slots": {"name": "Other"}}
+    cases = [(library_model, objects_doc),
+             (library_model, dict(objects_doc, objects=[*objects_doc["objects"], second]))]
+    rng = random.Random(6)
+    for _ in range(30):
+        model = make_random_model(rng)
+        doc = objects_to_document(make_random_objects(rng, model, max_objects=6))
+        twins = rng.sample(doc["objects"], min(2, len(doc["objects"])))
+        doc["objects"] += [dict(obj, slots={}) for obj in twins]
+        cases.append((model, doc))
+    ends = 0
+    for model, doc in cases:
+        loaded = objects_from_document(doc, model)
+        assert len(loaded.objects) == len(doc["objects"])
+        for _, _, end1, end2 in loaded.links:
+            assert end1 is loaded.object_named(end1.name)
+            assert end2 is loaded.object_named(end2.name)
+            ends += 2
+    assert ends > 60
+    twice = objects_from_document(cases[1][1], library_model)
+    assert twice.object_named("library_obj").slots["name"] != "Other"
+    assert [obj.slots["name"] for obj in twice.objects if obj.name == "library_obj"][1] == "Other"
 
 
 def test_unknown_object_class(tmp_path, objects_doc, library_model):

@@ -180,6 +180,16 @@ def test_unknown_classifier(built_model):
     assert any("unknown class" in d.message for d in diags)
 
 
+def test_classifier_that_is_not_the_model_class(built_model):
+    # A ClassDef named as a model class but with other attributes.
+    impostor = ClassDef("Book", (Attribute("pages", PrimitiveType.STR),))
+    obj = ObjectInstance("b", impostor, {"pages": "many"})
+    diags = validate_conformance(ObjectModel("m", (obj,)), built_model)
+    assert [str(d) for d in diags] == [
+        "error: objects[b]: classifier 'Book' differs from the model class"
+    ]
+
+
 def test_zero_links_on_star_end_is_fine(built_model):
     library = built_model.class_named("Library")
     obj = ObjectInstance(

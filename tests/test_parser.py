@@ -241,6 +241,23 @@ def test_chain_links_count_below_first_operand(kind):
     assert exc.value.message == "expression nests too deeply"
 
 
+# A prefix operator or an 'if' one level past MAX_DEPTH is refused at its
+# own token: the 151st 'not' starts at offset 600, the 151st 'if' at 450.
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("not " * (MAX_DEPTH + 1) + "true", "1:601: expression nests too deeply"),
+        ("if " * (MAX_DEPTH + 1) + "true" + " then true else false endif" * (MAX_DEPTH + 1),
+         "1:451: expression nests too deeply"),
+    ],
+    ids=["not", "if"],
+)
+def test_prefix_and_if_nest_too_deeply_at_their_token(source, message):
+    with pytest.raises(ParseError) as exc:
+        parse_expression(source)
+    assert str(exc.value) == message
+
+
 # Words of printed constraint text, as the constraint-text fuzz in
 # test_cli.py splits them.
 _WORD_RE = re.compile(r"'(?:[^']|'')*'|[A-Za-z_][A-Za-z0-9_]*|[0-9.]+|->|<>|<=|>=|\S")

@@ -1,6 +1,6 @@
-"""Syntax trees, typed trees, property accesses, constraint definitions and
-object instances are slotted records that nothing mutates: pin that
-convention and the records' shape."""
+"""Syntax trees, typed trees, constraint definitions and object instances
+are slotted records that nothing mutates: pin that convention and the
+records' shape."""
 
 import copy
 import io
@@ -29,10 +29,10 @@ from bocl.ast import (
     pretty_print,
 )
 from bocl.evaluator import compile_model, evaluate_all, evaluate_constraint
-from bocl.model import ClassDef, ConstraintDef, ObjectInstance, StructuralModel
+from bocl.model import Attribute, ClassDef, ConstraintDef, ObjectInstance, StructuralModel
 from bocl.model_io import ReportFormat, load_objects, load_structural, write_report
 from bocl.parser import parse_constraint
-from bocl.resolver import AttributeAccess, NavigationAccess, TypedExpr, resolve
+from bocl.resolver import TypedExpr, resolve
 
 from conftest import MODEL_PATH, OBJECTS_PATH
 from generators import gen_typed_constraint, make_random_model, make_random_objects
@@ -57,8 +57,6 @@ _RECORD_FIELDS = {
     **_EXPR_FIELDS,
     ConstraintAst: ("context_class_name", "stereotype", "constraint_name", "body"),
     TypedExpr: ("node", "type", "children", "access"),
-    AttributeAccess: ("attribute",),
-    NavigationAccess: ("association", "end"),
     ConstraintDef: ("name", "context_class", "expression", "language"),
     ObjectInstance: ("name", "classifier", "slots"),
 }
@@ -135,8 +133,10 @@ def test_records_are_slotted(library_model, library_objects):
     assert {type(node) for node in nodes} == set(_EXPR_FIELDS)
     typed = resolve(ast, library_model)
     accesses = _accesses(typed)
-    assert {type(access) for access in accesses} == {AttributeAccess, NavigationAccess}
-    for record in (ast, *nodes, *_typed_nodes(typed.body), *accesses,
+    # A property node holds the model's own record: an Attribute, or an
+    # (association, end) tuple.
+    assert {type(access) for access in accesses} == {Attribute, tuple}
+    for record in (ast, *nodes, *_typed_nodes(typed.body),
                    *library_model.constraints, *library_objects.objects):
         assert "__slots__" in type(record).__dict__
         assert not hasattr(record, "__dict__")
@@ -174,7 +174,8 @@ def test_constraint_defs_and_accesses_hash_as_their_fields(library_model):
     # Equality and hash are those of the frozen dataclasses they replaced:
     # both follow the tuple of the fields, in order.
     typed = resolve(parse_constraint(_EVERY_KIND), library_model)
-    for record in (*library_model.constraints, *_accesses(typed)):
+    attributes = [access for access in _accesses(typed) if isinstance(access, Attribute)]
+    for record in (*library_model.constraints, *attributes):
         values = tuple(getattr(record, f.name) for f in fields(record))
         twin = type(record)(*values)
         assert twin is not record and twin == record

@@ -21,6 +21,7 @@ from bocl.ast import (
     expr_to_json,
 )
 from bocl.evaluator import VerdictKind, evaluate_constraint
+from bocl.model import Attribute
 from bocl.parser import parse_constraint
 from bocl.resolver import (
     ResolutionErrorKind,
@@ -73,6 +74,38 @@ def test_navigation_types(built_model):
     # locatedIn has upper bound 1, so navigation scalarizes.
     assert located.type.kind is TypeKind.OBJECT
     assert located.type.class_name == "Library"
+
+
+def _property_nodes(typed):
+    if isinstance(typed.node, PropertyExp):
+        yield typed
+    for child in typed.children:
+        yield from _property_nodes(child)
+
+
+def test_property_nodes_hold_the_models_own_records(library_model):
+    # The library constraints, and random typed constraints over two-class
+    # scenarios: each property node's access is the very record the model's
+    # lookups return, an Attribute or an (association, far end) entry.
+    cases = [(library_model, parse_constraint(con.expression))
+             for con in library_model.constraints]
+    cases.append((library_model, parse_constraint(
+        "context Book inv x: self.locatedIn.contains->forAll(b | b.writedBy->size() >= 0"
+        " and b.title <> self.locatedIn.name)")))
+    rng = random.Random(4)
+    for _ in range(40):
+        model = make_random_model(rng)
+        cases += [(model, gen_typed_constraint(rng)) for _ in range(5)]
+    kinds = set()
+    for model, ast in cases:
+        for node in _property_nodes(resolve(ast, model).body):
+            cls = model.class_named(node.children[0].type.class_name)
+            if isinstance(node.access, Attribute):
+                assert node.access is cls.attribute_named(node.node.name)
+            else:
+                assert node.access is model.navigable_ends(cls)[node.node.name]
+            kinds.add(type(node.access))
+    assert kinds == {Attribute, tuple}
 
 
 def test_comparing_string_to_int(built_model):
