@@ -85,6 +85,29 @@ def test_eval_output_matches_the_committed_golden_files(golden, fmt, suffix, cap
     assert f"exit {code}\n" == Path(f"{golden}.result").read_text(encoding="utf-8")
 
 
+# A model with one fault of every kind validate_structural reports, and an
+# object model, for the valid eval-linked model, with one fault of every kind
+# validate_conformance reports for a loaded document. With each: the stderr
+# and exit code (.stderr, .result) that `bocl check` of the model and
+# `bocl eval` of the objects gave when they were committed; stdout is empty.
+# CI compares the console script with the same files.
+INVALID_GOLDENS = {
+    "invalid.model": ["check", "invalid.model.json"],
+    "invalid.objects": ["eval", "eval-linked-s11.model.json", "invalid.objects.json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_GOLDENS))
+def test_invalid_input_matches_the_committed_golden_files(name, capsys):
+    command, *paths = INVALID_GOLDENS[name]
+    code = main([command, *(str(GOLDEN.with_name(path)) for path in paths)])
+    captured = capsys.readouterr()
+    golden = GOLDEN.with_name(name)
+    assert captured.out == ""
+    assert captured.err == Path(f"{golden}.stderr").read_text(encoding="utf-8")
+    assert f"exit {code}\n" == Path(f"{golden}.result").read_text(encoding="utf-8")
+
+
 def test_check_reports_syntax_error(tmp_path, model_doc, capsys):
     model_doc["constraints"][0]["expression"] = "context Book inv: self.pages >"
     path = write(tmp_path, "m.json", model_doc)

@@ -11,6 +11,7 @@ from bocl.model import (
     Attribute,
     BinaryAssociation,
     ClassDef,
+    ConstraintDef,
     Multiplicity,
     ObjectInstance,
     ObjectModel,
@@ -62,6 +63,47 @@ def test_end_target_must_be_in_model():
     )
     diags = validate_structural(StructuralModel("m", (inside,), (assoc,)))
     assert any("not a model class" in d.message for d in diags)
+
+
+def test_every_association_and_constraint_rule_in_order():
+    c = ClassDef("C")
+    assoc = BinaryAssociation(
+        "b b",
+        AssociationEnd("1x", ClassDef("Z"), Multiplicity(-1, 0)),
+        AssociationEnd("y y", c, Multiplicity(3, 2)),
+    )
+    assert [str(d) for d in validate_structural(StructuralModel("m", (c,), (assoc,)))] == [
+        "error: associations[b b]: association name 'b b' is not an identifier",
+        "error: associations[b b].end1: role '1x' is not an identifier",
+        "error: associations[b b].end1.multiplicity: negative lower bound -1",
+        "error: associations[b b].end1.multiplicity: upper bound 0 < 1",
+        "error: associations[b b].end1: end target 'Z' is not a model class",
+        "error: associations[b b].end2: role 'y y' is not an identifier",
+        "error: associations[b b].end2.multiplicity: lower > upper (3 > 2)",
+    ]
+    con = ConstraintDef("bad name", ClassDef("Q"), "context Q inv: true", "X")
+    model = StructuralModel("m", (c,), (), (con, con))
+    path = "error: constraints[bad name]: "
+    once = [
+        path + "constraint name 'bad name' is not an identifier",
+        path + "context class 'Q' is not a model class",
+        path + "unsupported constraint language 'X'",
+    ]
+    assert [str(d) for d in validate_structural(model)] == (
+        once + [path + "duplicate constraint name 'bad name'"] + once)
+
+
+def test_an_equal_copy_of_a_model_class_is_accepted():
+    # The end targets and the context are equal to the model's C, not it.
+    c = ClassDef("C", (Attribute("n", PrimitiveType.INT),))
+    equal = ClassDef("C", (Attribute("n", PrimitiveType.INT),))
+    assoc = BinaryAssociation(
+        "a",
+        AssociationEnd("x", equal, Multiplicity(0, 1)),
+        AssociationEnd("y", ClassDef("C", c.attributes), Multiplicity(0, None)),
+    )
+    con = ConstraintDef("k", equal, "context C inv: self.n > 0")
+    assert validate_structural(StructuralModel("m", (c,), (assoc,), (con,))) == []
 
 
 def test_ambiguous_role_names_flagged():
