@@ -30,11 +30,8 @@ from .ast import (
 from .evaluator import (
     ConstraintResult,
     ConstraintVerdict,
-    DivisionByZeroError,
     EvalError,
     EvaluationReport,
-    MissingSlotError,
-    NavigationEmptyError,
     VerdictKind,
     compile_model,
     evaluate_all,

@@ -39,18 +39,6 @@ class EvalError(Exception):
     """A constraint could not be evaluated on the given objects."""
 
 
-class MissingSlotError(EvalError):
-    pass
-
-
-class DivisionByZeroError(EvalError):
-    pass
-
-
-class NavigationEmptyError(EvalError):
-    pass
-
-
 # ---------- Verdicts ----------
 
 class VerdictKind(Enum):
@@ -93,19 +81,19 @@ class EvaluationReport:
 def _slot(obj: ObjectInstance, attribute: str) -> object:
     value = obj.slots.get(attribute)
     if value is None:
-        raise MissingSlotError(f"object '{obj.name}' has no value for attribute '{attribute}'")
+        raise EvalError(f"object '{obj.name}' has no value for attribute '{attribute}'")
     return value
 
 
 def _to_one(row: dict, obj: ObjectInstance, role: str) -> ObjectInstance:
     linked = row.get(obj.name)
     if not linked:
-        raise NavigationEmptyError(f"no object linked via '{role}' from '{obj.name}'")
+        raise EvalError(f"no object linked via '{role}' from '{obj.name}'")
     return linked[0]
 
 
 def _zero_divisor() -> NoReturn:
-    raise DivisionByZeroError("division by zero")
+    raise EvalError("division by zero")
 
 
 # A generated function's globals, besides its rows; it sees no other builtins.
@@ -137,7 +125,7 @@ def _call(function: str | ast.expr, *args: ast.expr) -> ast.Call:
 
 def _generate(typed: TypedConstraint, objects: ObjectModel) -> Callable[[list, Callable], None]:
     """The function f(instances, append) that appends (name, holds) for each
-    instance in turn; it raises EvalError subclasses."""
+    instance in turn; it raises EvalError."""
     namespace = dict(_HELPERS)  # the function's globals
     variables: list[tuple[str, str]] = []  # (OCL name, Python name), innermost last
     count = itertools.count()

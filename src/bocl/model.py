@@ -263,69 +263,59 @@ def _warning(path: str, message: str) -> ModelDiagnostic:
 
 # ---------- Validation ----------
 
-def _name_errors(path: str, kind: str, name: str, seen: set[str]) -> list[ModelDiagnostic]:
-    """The diagnostics of a name already in seen and of a name that is not an identifier."""
-    return [_error(path, message) for bad, message in (
-        (name in seen, f"duplicate {kind} name '{name}'"),
-        (not is_identifier(name), f"{kind} name '{name}' is not an identifier"),
-    ) if bad]
-
-
-def _association_errors(model: StructuralModel, assoc: BinaryAssociation,
-                        seen: set[str]) -> list[ModelDiagnostic]:
-    path = f"associations[{assoc.name}]"
-    diags = _name_errors(path, "association", assoc.name, seen)
-    for label, end in (("end1", assoc.end1), ("end2", assoc.end2)):
-        epath = f"{path}.{label}"
-        if not is_identifier(end.role):
-            diags.append(_error(epath, f"role '{end.role}' is not an identifier"))
-        mult, mpath = end.multiplicity, f"{epath}.multiplicity"
-        if mult.lower < 0:
-            diags.append(_error(mpath, f"negative lower bound {mult.lower}"))
-        if mult.upper is not None and mult.upper < 1:
-            diags.append(_error(mpath, f"upper bound {mult.upper} < 1"))
-        if mult.upper is not None and mult.lower > mult.upper:
-            diags.append(_error(mpath, f"lower > upper ({mult.lower} > {mult.upper})"))
-        if model.class_named(end.target.name) != end.target:
-            diags.append(_error(epath, f"end target '{end.target.name}' is not a model class"))
-    return diags
+def _name_errors(diags: list[ModelDiagnostic], seen: set[str], kind: str, name: str,
+                 where: str, *at: str) -> None:
+    """Report a name already in seen and a name that is not an identifier, then add
+    the name to seen. The path, where.format(*at, name), is formatted only to report."""
+    if name in seen:
+        diags.append(_error(where.format(*at, name), f"duplicate {kind} name '{name}'"))
+    if not is_identifier(name):
+        diags.append(_error(where.format(*at, name), f"{kind} name '{name}' is not an identifier"))
+    seen.add(name)
 
 
 def validate_structural(model: StructuralModel) -> list[ModelDiagnostic]:
     """Check the structural model's own invariants.
 
     Returns an empty list exactly when the model is well formed; every
-    finding here is Error severity. Only a record that fails its one inline
-    test is checked again in detail, and only then is its path formatted.
+    finding here is Error severity. Each rule is one test, and a record's
+    path is formatted only in the branch that reports its fault.
     """
     diags: list[ModelDiagnostic] = []
     classes = model._classes
 
     seen_classes: set[str] = set()
     for cls in model.classes:
-        if cls.name in seen_classes or not is_identifier(cls.name):
-            diags += _name_errors(f"classes[{cls.name}]", "class", cls.name, seen_classes)
-        seen_classes.add(cls.name)
+        _name_errors(diags, seen_classes, "class", cls.name, "classes[{}]")
         seen_attrs: set[str] = set()
         for attr in cls.attributes:
-            if attr.name in seen_attrs or not is_identifier(attr.name):
-                path = f"classes[{cls.name}].attributes[{attr.name}]"
-                diags += _name_errors(path, "attribute", attr.name, seen_attrs)
-            seen_attrs.add(attr.name)
+            _name_errors(diags, seen_attrs, "attribute", attr.name,
+                         "classes[{}].attributes[{}]", cls.name)
 
     seen_assocs: set[str] = set()
     # Class name -> (role, association name) of each end navigable from it, in model order.
     navigated: dict[str, list[tuple[str, str]]] = {}
     for assoc in model.associations:
-        if assoc.name in seen_assocs or not is_identifier(assoc.name) or not all(
-            is_identifier(end.role) and classes.get(end.target.name) is end.target
-            and (m := end.multiplicity).lower >= 0
-            and (m.upper is None or m.upper >= max(m.lower, 1))
-            for end in (assoc.end1, assoc.end2)
-        ):
-            diags += _association_errors(model, assoc, seen_assocs)
-        seen_assocs.add(assoc.name)
-        for end, opposite in ((assoc.end1, assoc.end2), (assoc.end2, assoc.end1)):
+        _name_errors(diags, seen_assocs, "association", assoc.name, "associations[{}]")
+        for label, end, opposite in (("end1", assoc.end1, assoc.end2),
+                                     ("end2", assoc.end2, assoc.end1)):
+            if not is_identifier(end.role):
+                diags.append(_error(f"associations[{assoc.name}].{label}",
+                                    f"role '{end.role}' is not an identifier"))
+            lower, upper = end.multiplicity.lower, end.multiplicity.upper
+            if lower < 0:
+                diags.append(_error(f"associations[{assoc.name}].{label}.multiplicity",
+                                    f"negative lower bound {lower}"))
+            if upper is not None and upper < 1:
+                diags.append(_error(f"associations[{assoc.name}].{label}.multiplicity",
+                                    f"upper bound {upper} < 1"))
+            if upper is not None and lower > upper:
+                diags.append(_error(f"associations[{assoc.name}].{label}.multiplicity",
+                                    f"lower > upper ({lower} > {upper})"))
+            target = end.target
+            if (found := classes.get(target.name)) is not target and found != target:
+                diags.append(_error(f"associations[{assoc.name}].{label}",
+                                    f"end target '{target.name}' is not a model class"))
             navigated.setdefault(opposite.target.name, []).append((end.role, assoc.name))
 
     # Role names must be unambiguous per navigating class: classes in name
@@ -340,16 +330,14 @@ def validate_structural(model: StructuralModel) -> list[ModelDiagnostic]:
 
     seen_constraints: set[str] = set()
     for con in model.constraints:
+        _name_errors(diags, seen_constraints, "constraint", con.name, "constraints[{}]")
         context = con.context_class
-        if (con.name in seen_constraints or not is_identifier(con.name)
-                or classes.get(context.name) is not context or con.language != "OCL"):
-            path = f"constraints[{con.name}]"
-            diags += _name_errors(path, "constraint", con.name, seen_constraints)
-            if model.class_named(context.name) != context:
-                diags.append(_error(path, f"context class '{context.name}' is not a model class"))
-            if con.language != "OCL":
-                diags.append(_error(path, f"unsupported constraint language '{con.language}'"))
-        seen_constraints.add(con.name)
+        if (found := classes.get(context.name)) is not context and found != context:
+            diags.append(_error(f"constraints[{con.name}]",
+                                f"context class '{context.name}' is not a model class"))
+        if con.language != "OCL":
+            diags.append(_error(f"constraints[{con.name}]",
+                                f"unsupported constraint language '{con.language}'"))
 
     return diags
 
@@ -366,17 +354,13 @@ def validate_conformance(
     association and end objects exist.
     """
     diags: list[ModelDiagnostic] = []
+    classes = model._classes
 
     seen_names: set[str] = set()
     for obj in objects.objects:
-        if obj.name in seen_names:
-            diags.append(_error(f"objects[{obj.name}]", f"duplicate object name '{obj.name}'"))
-        seen_names.add(obj.name)
-        if not is_identifier(obj.name):
-            message = f"object name '{obj.name}' is not an identifier"
-            diags.append(_error(f"objects[{obj.name}]", message))
+        _name_errors(diags, seen_names, "object", obj.name, "objects[{}]")
 
-        model_cls = model.class_named(obj.classifier.name)
+        model_cls = classes.get(obj.classifier.name)
         if model_cls is None:
             diags.append(_error(f"objects[{obj.name}]", f"unknown class '{obj.classifier.name}'"))
             continue
@@ -388,19 +372,17 @@ def validate_conformance(
         types = model_cls._slot_types
         for slot_name, value in obj.slots.items():
             expected = types.get(slot_name)
-            if type(value) is expected and (
-                expected is not int or INT64_MIN <= value <= INT64_MAX
-            ) and (expected is not float or math.isfinite(value)):
+            if type(value) is not expected:  # also when the class has no such attribute
+                problem, tail = "type mismatch", "is not"
+            elif expected is int and not INT64_MIN <= value <= INT64_MAX:
+                problem, tail = "out of range", "does not fit in 64 bits"
+            elif expected is float and not math.isfinite(value):
+                problem, tail = "out of range", "is not finite"
+            else:
                 continue
             if expected is None:
                 message = f"class '{model_cls.name}' has no attribute '{slot_name}'"
             else:
-                if type(value) is not expected:
-                    problem, tail = "type mismatch", "is not"
-                elif expected is int:
-                    problem, tail = "out of range", "does not fit in 64 bits"
-                else:
-                    problem, tail = "out of range", "is not finite"
                 try:
                     shown = repr(value)
                 except ValueError:  # Python will not print an int of over 4300 digits

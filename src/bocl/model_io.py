@@ -56,6 +56,7 @@ _OBJECT_KEYS = _OBJECT_REQUIRED | {"slots"}
 _LINK_REQUIRED = frozenset({"association", "ends"})
 _LINK_KEYS = _LINK_REQUIRED | {"name"}
 _END_KEYS = frozenset({"role", "object"})
+_OBJECTS_DOC_KEYS = frozenset({"schemaVersion", "name", "objects", "links"})
 _MODEL_KEYS = frozenset({"schemaVersion", "name", "classes", "associations", "constraints"})
 _CLASS_KEYS = frozenset({"name", "attributes"})
 _ATTRIBUTE_KEYS = frozenset({"name", "type"})
@@ -131,25 +132,6 @@ def _conformance(message: str) -> IoError:
     return IoError(IoErrorKind.CONFORMANCE, message)
 
 
-def _check_keys(record: dict, required: set[str], optional: set[str], where: str) -> None:
-    if not isinstance(record, dict):
-        raise _malformed(f"{where} must be an object")
-    keys = set(record)
-    missing = required - keys
-    if missing:
-        raise _malformed(f"{where} is missing key(s) {sorted(missing)}")
-    unknown = keys - required - optional
-    if unknown:
-        raise _malformed(f"{where} has unknown key(s) {sorted(unknown)}")
-
-
-def _str_field(record: dict, key: str, where: str) -> str:
-    value = record[key]
-    if not isinstance(value, str):
-        raise _malformed(f"{where}.{key} must be a string")
-    return value
-
-
 def _list_field(record: dict, key: str, where: str) -> list:
     value = record.get(key, [])
     if not isinstance(value, list):
@@ -158,12 +140,19 @@ def _list_field(record: dict, key: str, where: str) -> list:
 
 
 def _check_record(record: object, required: frozenset, allowed: frozenset, strings: tuple,
-                  where: str, *at: int) -> None:
-    """Raise IoError Malformed for a record that is not an object, lacks a key or has an
-    unknown one, or has a non-string value under strings. Its path is where.format(*at),
-    formatted only here: for a document, or for a record that failed its quick test."""
-    where = where.format(*at)
-    _check_keys(record, required, allowed - required, where)
+                  where: str) -> None:
+    """Raise IoError Malformed, at the record's path where, for a record that is not an
+    object, lacks a key or has an unknown one, or has a non-string value under strings.
+    Each loader calls it for its document, and for a record only once the record's
+    inline test has failed, so the path is formatted only to report."""
+    if not isinstance(record, dict):
+        raise _malformed(f"{where} must be an object")
+    missing = required - record.keys()
+    if missing:
+        raise _malformed(f"{where} is missing key(s) {sorted(missing)}")
+    unknown = record.keys() - allowed
+    if unknown:
+        raise _malformed(f"{where} has unknown key(s) {sorted(unknown)}")
     for key in strings:  # an optional key may be absent
         if not isinstance(record.get(key, ""), str):
             raise _malformed(f"{where}.{key} must be a string")
@@ -171,58 +160,34 @@ def _check_record(record: object, required: frozenset, allowed: frozenset, strin
 
 # ---------- Structural model ----------
 
-def _class_error(raw: object, i: int) -> None:
-    """Raise the Malformed error of classes[i], if it has one: its keys, then each
-    attribute's keys, type and name, then its name, in the order the loader reads them."""
-    where = f"classes[{i}]"
-    _check_keys(raw, {"name"}, {"attributes"}, where)
-    for j, attribute in enumerate(_list_field(raw, "attributes", where)):
-        awhere = f"{where}.attributes[{j}]"
-        _check_record(attribute, _ATTRIBUTE_KEYS, _ATTRIBUTE_KEYS, ("type",), awhere)
-        if attribute["type"] not in _TYPES:
-            raise _malformed(f"{awhere}.type: unknown type {attribute['type']!r}")
-        _str_field(attribute, "name", awhere)
-    _str_field(raw, "name", where)
-
-
-def _association_error(raw: object, i: int) -> None:
-    """Raise the Malformed error of associations[i], if it has one: its keys and ends,
-    then each end's keys, target, role and multiplicity, then its name."""
-    where = f"associations[{i}]"
-    _check_keys(raw, {"name", "ends"}, set(), where)
-    if not isinstance(raw["ends"], list) or len(raw["ends"]) != 2:
-        raise _malformed(f"{where}.ends must be an array of exactly two ends")
-    for j, end in enumerate(raw["ends"]):
-        ewhere = f"{where}.ends[{j}]"
-        _check_record(end, _ASSOC_END_KEYS, _ASSOC_END_KEYS, ("target", "role"), ewhere)
-        mult = end["multiplicity"]
-        _check_record(mult, _MULTIPLICITY_KEYS, _MULTIPLICITY_KEYS, (), "{}.multiplicity", ewhere)
-        lower, upper = mult["lower"], mult["upper"]
-        if not isinstance(lower, int) or isinstance(lower, bool):
-            raise _malformed(f"{ewhere}.multiplicity.lower must be an integer")
-        if upper != "*" and (not isinstance(upper, int) or isinstance(upper, bool)):
-            raise _malformed(f'{ewhere}.multiplicity.upper must be an integer or "*"')
-    _str_field(raw, "name", where)
-
-
 def structural_from_document(doc: dict) -> StructuralModel:
-    """Build a StructuralModel from a parsed bocl-model/1 document. Only a record
-    that fails its inline quick test is checked again, key by key, to word its error."""
+    """Build a StructuralModel from a parsed bocl-model/1 document. Each rule is
+    one inline test, in the order the loader reads the fields, and a record's
+    path is formatted only in the branch that reports its fault."""
     _check_record(doc, {"schemaVersion", "name"}, _MODEL_KEYS, ("name",), "model document")
 
     classes = []
     for i, raw in enumerate(_list_field(doc, "classes", "model document")):
-        if not (isinstance(raw, dict) and raw.keys() <= _CLASS_KEYS  # the hot case, inline
-                and isinstance(raw.get("name"), str)
-                and isinstance(raw.get("attributes", []), list)):
-            _class_error(raw, i)
+        if not (isinstance(raw, dict) and raw.keys() <= _CLASS_KEYS and "name" in raw):
+            _check_record(raw, {"name"}, _CLASS_KEYS, (), f"classes[{i}]")
+        araws = raw.get("attributes", [])
+        if not isinstance(araws, list):
+            raise _malformed(f"classes[{i}].attributes must be an array")
         attrs = []
-        for araw in raw.get("attributes", ()):
+        for j, araw in enumerate(araws):
             if not (isinstance(araw, dict) and araw.keys() == _ATTRIBUTE_KEYS
-                    and isinstance(araw["type"], str) and araw["type"] in _TYPES
-                    and isinstance(araw["name"], str)):
-                _class_error(raw, i)
-            attrs.append(Attribute(araw["name"], _TYPES[araw["type"]]))
+                    and isinstance(araw["type"], str)):
+                _check_record(araw, _ATTRIBUTE_KEYS, _ATTRIBUTE_KEYS, ("type",),
+                              f"classes[{i}].attributes[{j}]")
+            ptype = _TYPES.get(araw["type"])
+            if ptype is None:
+                raise _malformed(f"classes[{i}].attributes[{j}].type: "
+                                 f"unknown type {araw['type']!r}")
+            if not isinstance(araw["name"], str):
+                raise _malformed(f"classes[{i}].attributes[{j}].name must be a string")
+            attrs.append(Attribute(araw["name"], ptype))
+        if not isinstance(raw["name"], str):
+            raise _malformed(f"classes[{i}].name must be a string")
         classes.append(ClassDef(raw["name"], tuple(attrs)))
 
     # An unknown class name gets a placeholder ClassDef; validate_structural
@@ -232,33 +197,43 @@ def structural_from_document(doc: dict) -> StructuralModel:
 
     associations = []
     for i, raw in enumerate(_list_field(doc, "associations", "model document")):
-        if not (isinstance(raw, dict) and raw.keys() == _ASSOCIATION_KEYS  # the hot case, inline
-                and isinstance(raw["name"], str)
-                and isinstance(raw["ends"], list) and len(raw["ends"]) == 2):
-            _association_error(raw, i)
+        if not (isinstance(raw, dict) and raw.keys() == _ASSOCIATION_KEYS):
+            _check_record(raw, _ASSOCIATION_KEYS, _ASSOCIATION_KEYS, (), f"associations[{i}]")
+        if not (isinstance(raw["ends"], list) and len(raw["ends"]) == 2):
+            raise _malformed(f"associations[{i}].ends must be an array of exactly two ends")
         ends = []
-        for eraw in raw["ends"]:
+        for j, eraw in enumerate(raw["ends"]):
             if not (isinstance(eraw, dict) and eraw.keys() == _ASSOC_END_KEYS
                     and isinstance(eraw["target"], str) and isinstance(eraw["role"], str)):
-                _association_error(raw, i)
+                _check_record(eraw, _ASSOC_END_KEYS, _ASSOC_END_KEYS, ("target", "role"),
+                              f"associations[{i}].ends[{j}]")
             mult = eraw["multiplicity"]
-            if not (isinstance(mult, dict) and mult.keys() == _MULTIPLICITY_KEYS
-                    and type(mult["lower"]) is int  # not a bool
-                    and (type(mult["upper"]) is int or mult["upper"] == "*")):
-                _association_error(raw, i)
-            upper = None if mult["upper"] == "*" else mult["upper"]
+            if not (isinstance(mult, dict) and mult.keys() == _MULTIPLICITY_KEYS):
+                _check_record(mult, _MULTIPLICITY_KEYS, _MULTIPLICITY_KEYS, (),
+                              f"associations[{i}].ends[{j}].multiplicity")
+            lower, upper = mult["lower"], mult["upper"]
+            if not isinstance(lower, int) or isinstance(lower, bool):
+                raise _malformed(f"associations[{i}].ends[{j}].multiplicity.lower "
+                                 "must be an integer")
+            if upper == "*":
+                upper = None
+            elif not isinstance(upper, int) or isinstance(upper, bool):
+                raise _malformed(f"associations[{i}].ends[{j}].multiplicity.upper "
+                                 'must be an integer or "*"')
             target = by_name.get(eraw["target"]) or ClassDef(eraw["target"])
-            ends.append(AssociationEnd(eraw["role"], target, Multiplicity(mult["lower"], upper)))
+            ends.append(AssociationEnd(eraw["role"], target, Multiplicity(lower, upper)))
+        if not isinstance(raw["name"], str):
+            raise _malformed(f"associations[{i}].name must be a string")
         associations.append(BinaryAssociation(raw["name"], *ends))
 
     constraints = []
     for i, raw in enumerate(_list_field(doc, "constraints", "model document")):
-        if not (isinstance(raw, dict) and raw.keys() <= _CONSTRAINT_KEYS  # the hot case, inline
+        if not (isinstance(raw, dict) and raw.keys() <= _CONSTRAINT_KEYS
                 and isinstance(raw.get("name"), str) and isinstance(raw.get("context"), str)
                 and isinstance(raw.get("expression"), str)
                 and isinstance(raw.get("language", ""), str)):
             _check_record(raw, {"name", "context", "expression"}, _CONSTRAINT_KEYS,
-                          ("context", "language", "name", "expression"), "constraints[{}]", i)
+                          ("context", "language", "name", "expression"), f"constraints[{i}]")
         context = by_name.get(raw["context"]) or ClassDef(raw["context"])
         language = raw.get("language", "OCL")
         constraints.append(ConstraintDef(raw["name"], context, raw["expression"], language))
@@ -361,15 +336,15 @@ def objects_from_document(doc: dict, model: StructuralModel) -> ObjectModel:
     of a duplicated object name the first object is the one linked. The
     document itself is not changed.
     """
-    _check_keys(doc, {"schemaVersion", "name"}, {"objects", "links"}, "objects document")
-    name = _str_field(doc, "name", "objects document")
+    _check_record(doc, {"schemaVersion", "name"}, _OBJECTS_DOC_KEYS, ("name",),
+                  "objects document")
 
     classes = model._classes
     objects = []
     for i, raw in enumerate(_list_field(doc, "objects", "objects document")):
         if not (isinstance(raw, dict) and raw.keys() <= _OBJECT_KEYS  # the hot case, inline
                 and isinstance(raw.get("name"), str) and isinstance(raw.get("class"), str)):
-            _check_record(raw, _OBJECT_REQUIRED, _OBJECT_KEYS, ("name", "class"), "objects[{}]", i)
+            _check_record(raw, _OBJECT_REQUIRED, _OBJECT_KEYS, ("name", "class"), f"objects[{i}]")
         slots_raw = raw.get("slots", {})
         if not isinstance(slots_raw, dict):
             raise _malformed(f"objects[{i}].slots must be an object")
@@ -382,7 +357,7 @@ def objects_from_document(doc: dict, model: StructuralModel) -> ObjectModel:
                 slots[attr_name] = _decode_slot(value, target, i, attr_name)
         objects.append(ObjectInstance(raw["name"], cls, slots))
 
-    result = ObjectModel(name, tuple(objects))
+    result = ObjectModel(doc["name"], tuple(objects))
     by_name = result._objects
     # Per association name: the association, and the end index of each role.
     wiring = {assoc_name: (assoc, {assoc.end1.role: 0, assoc.end2.role: 1})
@@ -392,7 +367,7 @@ def objects_from_document(doc: dict, model: StructuralModel) -> ObjectModel:
     for i, raw in enumerate(_list_field(doc, "links", "objects document")):
         if not (isinstance(raw, dict) and raw.keys() <= _LINK_KEYS and "ends" in raw
                 and isinstance(raw.get("association"), str)):  # the hot case, inline
-            _check_record(raw, _LINK_REQUIRED, _LINK_KEYS, ("association",), "links[{}]", i)
+            _check_record(raw, _LINK_REQUIRED, _LINK_KEYS, ("association",), f"links[{i}]")
         assoc_name = raw["association"]
         if assoc_name not in wiring:
             raise _conformance(f"links[{i}]: unknown association {assoc_name!r}")
@@ -405,7 +380,7 @@ def objects_from_document(doc: dict, model: StructuralModel) -> ObjectModel:
             if not (isinstance(end, dict) and end.keys() == _END_KEYS
                     and isinstance(end["role"], str) and isinstance(end["object"], str)):
                 _check_record(end, _END_KEYS, _END_KEYS, ("role", "object"),
-                              "links[{}].ends[{}]", i, j)
+                              f"links[{i}].ends[{j}]")
             k = index.get(end["role"])
             if k is None or ends[k] is not None:
                 what = f"association '{assoc_name}' has no" if k is None else "duplicate"
