@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
-from decimal import Decimal
 from enum import Enum
 
 from .model import INT64_MAX, INT64_MIN
@@ -181,6 +180,7 @@ def format_real(value: float) -> str:
         return text
     # repr chose an exponent or integral form; fall back to the exact
     # decimal expansion, which is always finite for a binary float.
+    from decimal import Decimal  # only here, so importing bocl skips decimal
     text = format(Decimal(value), "f")
     return text if "." in text else text + ".0"
 

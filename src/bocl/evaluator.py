@@ -183,10 +183,10 @@ def _generate(typed: TypedConstraint, objects: ObjectModel) -> Callable[[list, C
             return ast.IfExp(held, _load(value), _call("_slot", again, key))
         # The resolver picked this (association, end) from the model's role
         # table, the one navigate() reads, so the row toward it is bound here once.
-        row, end = f"_r{next(count)}", access[1]
+        row = f"_r{next(count)}"
         namespace[row] = _far_rows(objects, *access)
-        if end.multiplicity.upper == 1:
-            return _call("_to_one", _load(row), source, ast.Constant(end.role))
+        if typed.type.kind is TypeKind.OBJECT:  # the resolver's to-one decision
+            return _call("_to_one", _load(row), source, ast.Constant(access[1].role))
         return _call(_get(_load(row), "get"), _get(source, "name"), ast.Constant(()))
 
     def iterator(typed: TypedExpr, in_source: bool) -> ast.expr:

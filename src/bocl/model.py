@@ -5,19 +5,16 @@ from __future__ import annotations
 import datetime
 import math
 import operator
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-
-IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 
 def is_identifier(name: str) -> bool:
-    return bool(IDENTIFIER_RE.match(name))
+    return name.isascii() and name.isidentifier()
 
 
 def _by_name(records) -> dict:
@@ -130,15 +127,18 @@ class StructuralModel:
         object.__setattr__(self, "constraints", tuple(self.constraints))
         # Lookup tables, built eagerly so the model stays immutable. They are
         # plain attributes, not fields: equality, hash and repr ignore them.
-        # On duplicate names the first class or association wins; an
-        # ambiguous role keeps the last association in name order.
-        roles: dict[str, dict[str, tuple[BinaryAssociation, AssociationEnd]]] = {}
+        # On duplicate names the first class or association wins. _ends: class
+        # name -> every (role, association, far end) navigable from it, in model
+        # order, end1 before end2; _roles keeps the last end of each role.
+        ends: dict[str, list[tuple[str, BinaryAssociation, AssociationEnd]]] = {}
         for assoc in self.associations:
             for end, opposite in ((assoc.end1, assoc.end2), (assoc.end2, assoc.end1)):
-                roles.setdefault(opposite.target.name, {})[end.role] = (assoc, end)
+                ends.setdefault(opposite.target.name, []).append((end.role, assoc, end))
         object.__setattr__(self, "_classes", _by_name(self.classes))
         object.__setattr__(self, "_associations", _by_name(self.associations))
-        object.__setattr__(self, "_roles", roles)
+        object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "_roles", {name: {role: (assoc, end) for role, assoc, end in row}
+                                            for name, row in ends.items()})
 
     def class_named(self, name: str) -> ClassDef | None:
         return self._classes.get(name)
@@ -293,12 +293,9 @@ def validate_structural(model: StructuralModel) -> list[ModelDiagnostic]:
                          "classes[{}].attributes[{}]", cls.name)
 
     seen_assocs: set[str] = set()
-    # Class name -> (role, association name) of each end navigable from it, in model order.
-    navigated: dict[str, list[tuple[str, str]]] = {}
     for assoc in model.associations:
         _name_errors(diags, seen_assocs, "association", assoc.name, "associations[{}]")
-        for label, end, opposite in (("end1", assoc.end1, assoc.end2),
-                                     ("end2", assoc.end2, assoc.end1)):
+        for label, end in (("end1", assoc.end1), ("end2", assoc.end2)):
             if not is_identifier(end.role):
                 diags.append(_error(f"associations[{assoc.name}].{label}",
                                     f"role '{end.role}' is not an identifier"))
@@ -316,16 +313,15 @@ def validate_structural(model: StructuralModel) -> list[ModelDiagnostic]:
             if (found := classes.get(target.name)) is not target and found != target:
                 diags.append(_error(f"associations[{assoc.name}].{label}",
                                     f"end target '{target.name}' is not a model class"))
-            navigated.setdefault(opposite.target.name, []).append((end.role, assoc.name))
 
     # Role names must be unambiguous per navigating class: classes in name
     # order, each with its ends in association order, end1 before end2.
     for cls in model.classes:
         seen_roles: set[str] = set()
-        for role, assoc_name in navigated.get(cls.name, ()):
+        for role, assoc, _ in model._ends.get(cls.name, ()):
             if role in seen_roles:
                 message = f"role '{role}' is ambiguous when navigating from class '{cls.name}'"
-                diags.append(_error(f"associations[{assoc_name}]", message))
+                diags.append(_error(f"associations[{assoc.name}]", message))
             seen_roles.add(role)
 
     seen_constraints: set[str] = set()
@@ -354,7 +350,14 @@ def validate_conformance(
     association and end objects exist.
     """
     diags: list[ModelDiagnostic] = []
+    warnings: list[ModelDiagnostic] = []
     classes = model._classes
+    # Per class name: (role, far end, rows toward it) of every end in _ends, by role.
+    ends_of = {
+        name: [(role, end, _far_rows(objects, assoc, end))
+               for role, assoc, end in sorted(ends, key=operator.itemgetter(0))]
+        for name, ends in model._ends.items()
+    }
 
     seen_names: set[str] = set()
     for obj in objects.objects:
@@ -392,11 +395,13 @@ def validate_conformance(
                 message = f"slot {problem}: {detail} {tail}"
             diags.append(_error(f"objects[{obj.name}].slots[{slot_name}]", message))
 
-    # Per class name: (role, far end, rows toward that end), in role order.
-    ends_of = {
-        name: [(role, ends[role][1], _far_rows(objects, *ends[role])) for role in sorted(ends)]
-        for name, ends in model._roles.items()
-    }
+        # Counts are advisory, kept only if nothing else is wrong: scenarios stay loadable.
+        for role, end, rows in ends_of.get(model_cls.name, ()):
+            count, mult = len(rows.get(obj.name, ())), end.multiplicity
+            if count < mult.lower or (mult.upper is not None and count > mult.upper):
+                message = f"{count} object(s) linked via '{role}', multiplicity is {mult}"
+                warnings.append(_warning(f"objects[{obj.name}]", message))
+
     # The rows show whether a link end object has the wrong class; the links
     # are walked only to name each one.
     if diags or any(far.classifier.name != end.target.name for ends in ends_of.values()
@@ -411,18 +416,7 @@ def validate_conformance(
                                f"end '{end.role}' expects {end.target.name}")
                     diags.append(_error(f"links[{link_name}].{label}", message))
 
-    if any(d.severity is Severity.ERROR for d in diags):
-        return diags
-
-    # Counts are advisory: partially populated scenarios stay loadable.
-    for obj in objects.objects:
-        for role, end, rows in ends_of.get(obj.classifier.name, ()):
-            count, mult = len(rows.get(obj.name, ())), end.multiplicity
-            if count < mult.lower or (mult.upper is not None and count > mult.upper):
-                message = f"{count} object(s) linked via '{role}', multiplicity is {mult}"
-                diags.append(_warning(f"objects[{obj.name}]", message))
-
-    return diags
+    return diags or warnings
 
 
 # ---------- Queries ----------

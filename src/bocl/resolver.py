@@ -430,7 +430,6 @@ def resolve(ast: ConstraintAst, model: StructuralModel) -> TypedConstraint:
             (None, "context"),
             f"unknown context class '{ast.context_class_name}'",
         )
-        resolver.self_type = ERROR_T
     else:
         resolver.self_type = object_type(context_class.name)
 

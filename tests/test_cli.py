@@ -664,3 +664,14 @@ def test_mutated_constraint_text_never_escapes(fuzz_dir, data):
             assert len(json.loads(out.getvalue())["results"]) == 3
         elif argv[0] == "eval":
             assert len(out.getvalue().splitlines()) == 3
+
+
+def test_importing_the_cli_does_not_load_decimal():
+    # format_real imports decimal only in its fallback branch.
+    src = str(Path(bocl.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import bocl.cli, sys; print('decimal' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")

@@ -2,6 +2,7 @@ import dataclasses
 import datetime
 import math
 import random
+import re
 import time
 
 import pytest
@@ -20,6 +21,7 @@ from bocl.model import (
     StructuralModel,
     UnknownRoleError,
     instances_of,
+    is_identifier,
     navigate,
     validate_conformance,
     validate_structural,
@@ -32,6 +34,17 @@ from reference_eval import RefEvalError, _linked_objects
 
 def test_library_model_is_valid(built_model):
     assert validate_structural(built_model) == []
+
+
+def test_is_identifier_is_the_ascii_identifier_pattern():
+    # The rule is ASCII [A-Za-z_][A-Za-z0-9_]*: check it against that pattern
+    # for every code point alone, after a letter, before a letter and after "_".
+    pattern = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+    for code in range(0x110000):
+        c = chr(code)
+        for name in (c, "a" + c, c + "a", "_" + c):
+            assert is_identifier(name) == bool(pattern.match(name)), repr(name)
+    assert not is_identifier("")
 
 
 def test_duplicate_class_name_is_one_diagnostic():
@@ -266,6 +279,27 @@ def test_link_end_class_mismatch(built_model):
     link = ("l", lib_book, wrong, b)
     diags = validate_conformance(ObjectModel("m", (wrong, b), (link,)), built_model)
     assert any("expects Library" in d.message for d in diags)
+
+
+def test_link_end_class_checked_at_every_end_of_an_ambiguous_role():
+    # A hand-built model (the loader rejects it): role r is navigable from A
+    # through x (toward B) and through y (toward C). The link of x puts a C at
+    # its r end, so the end of x must be checked although _roles keeps y's.
+    a_cls, b_cls, c_cls = ClassDef("A"), ClassDef("B"), ClassDef("C")
+    many = Multiplicity(0, None)
+    x = BinaryAssociation("x", AssociationEnd("r", b_cls, many), AssociationEnd("s", a_cls, many))
+    y = BinaryAssociation("y", AssociationEnd("r", c_cls, many), AssociationEnd("t", a_cls, many))
+    model = StructuralModel("m", (a_cls, b_cls, c_cls), (x, y))
+    a, c = ObjectInstance("a", a_cls), ObjectInstance("c", c_cls)
+    wrong_end = "error: links[l].end1: object 'c' is a C, end 'r' expects B"
+    objects = ObjectModel("o", (a, c), (("l", x, c, a),))
+    assert [str(d) for d in validate_conformance(objects, model)] == [wrong_end]
+    bad_name = ObjectInstance("bad name", a_cls)
+    objects = ObjectModel("o", (a, bad_name, c), (("l", x, c, a),))
+    assert [str(d) for d in validate_conformance(objects, model)] == [
+        "error: objects[bad name]: object name 'bad name' is not an identifier",
+        wrong_end,
+    ]
 
 
 def test_link_to_missing_object_is_left_to_the_loader(built_model):
