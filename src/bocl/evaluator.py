@@ -31,7 +31,9 @@ from .model import (
     Attribute, ConstraintDef, ObjectInstance, ObjectModel, StructuralModel, _far_rows,
     instances_of)
 from .parser import parse_constraint
-from .resolver import ResolutionFailure, TypedConstraint, TypedExpr, TypeKind, resolve
+from .resolver import (
+    ResolutionError, ResolutionErrorKind, ResolutionFailure, TypedConstraint, TypedExpr, TypeKind,
+    resolve)
 
 # ---------- Runtime errors ----------
 
@@ -234,11 +236,18 @@ def compile_model(
     """Parse and resolve each of the model's constraints once, in order.
 
     Yields each constraint with its typed form, or with the ParseError or
-    ResolutionFailure that stopped it.
+    ResolutionFailure that stopped it, such as a context in the expression
+    text that is not the constraint's own.
     """
     for con in model.constraints:
         try:
-            yield con, resolve(parse_constraint(con.expression), model)
+            ast = parse_constraint(con.expression)
+            if ast.context_class_name != con.context_class.name:
+                raise ResolutionFailure([ResolutionError(
+                    ResolutionErrorKind.UNKNOWN_CONTEXT_CLASS, "context",
+                    f"expression context '{ast.context_class_name}' is not the "
+                    f"constraint's context '{con.context_class.name}'")])
+            yield con, resolve(ast, model)
         except (ParseError, ResolutionFailure) as error:
             yield con, error
 
@@ -251,9 +260,10 @@ def evaluate_constraint(
     """Evaluate the body once per context-class instance and conjoin.
 
     The body is compiled once per call. Zero instances yield True
-    vacuously. The first runtime error or an Integer too large to convert
-    to Real turns the verdict into Error, keeping the per-instance results
-    gathered so far.
+    vacuously. The first runtime error, an Integer too large to convert
+    to Real, or a slot value of the wrong type in an object model that was
+    not validated turns the verdict into Error, keeping the per-instance
+    results gathered so far.
     """
     if name is None:
         name = typed.ast.constraint_name or typed.ast.context_class_name
@@ -261,7 +271,7 @@ def evaluate_constraint(
     per_instance: list[tuple[str, bool]] = []
     try:
         check(instances_of(objects, typed.context_class), per_instance.append)
-    except (EvalError, OverflowError) as error:
+    except (EvalError, OverflowError, TypeError) as error:
         return ConstraintVerdict(name, VerdictKind.ERROR, tuple(per_instance), str(error))
     ok = all(holds for _, holds in per_instance)
     return ConstraintVerdict(

@@ -314,10 +314,11 @@ def validate_structural(model: StructuralModel) -> list[ModelDiagnostic]:
                 diags.append(_error(f"associations[{assoc.name}].{label}",
                                     f"end target '{target.name}' is not a model class"))
 
-    # Role names must be unambiguous per navigating class: classes in name
-    # order, each with its ends in association order, end1 before end2.
+    # Role names must be unambiguous per navigating class, and must not hide
+    # one of its attributes: classes in name order, each with its ends in
+    # association order, end1 before end2.
     for cls in model.classes:
-        seen_roles: set[str] = set()
+        seen_roles = set(cls._attributes)
         for role, assoc, _ in model._ends.get(cls.name, ()):
             if role in seen_roles:
                 message = f"role '{role}' is ambiguous when navigating from class '{cls.name}'"

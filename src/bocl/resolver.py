@@ -99,8 +99,8 @@ _NUMERIC = (_INT, _REAL)
 _LOGICAL = (InfixOperator.AND, InfixOperator.OR)
 _EQUALITY = (InfixOperator.EQ, InfixOperator.NE)
 _ORDERING = (InfixOperator.LT, InfixOperator.GT, InfixOperator.LE, InfixOperator.GE)
-_PREDICATES = (IteratorKind.FOR_ALL, IteratorKind.EXISTS, IteratorKind.SELECT, IteratorKind.REJECT)
 _QUANTIFIERS = (IteratorKind.FOR_ALL, IteratorKind.EXISTS)
+_COLLECT = IteratorKind.COLLECT
 _DIV, _NOT, _SIZE = InfixOperator.DIV, UnaryOperator.NOT, CollectionOp.SIZE
 
 
@@ -154,7 +154,8 @@ class _Resolver:
         self.errors: list[ResolutionError] = []
         self.scopes: list[tuple[str, OclType]] = []
 
-    def fail(self, kind: ResolutionErrorKind, path: tuple, message: str) -> OclType:
+    def fail(self, path: tuple, message: str,
+             kind: ResolutionErrorKind = ResolutionErrorKind.TYPE_MISMATCH) -> OclType:
         """Record an error at path, a (parent path, step) pair whose root's
         parent is None; only here is it joined into "body.left.source"."""
         steps = []
@@ -164,230 +165,146 @@ class _Resolver:
         self.errors.append(ResolutionError(kind, ".".join(reversed(steps)), message))
         return ERROR_T
 
+    # Each compound rule resolves its children, picks its type in one chain
+    # whose first branch passes an Error child through, and builds one node.
+
     def _resolve_variable(self, expr: VariableExp, path: tuple) -> TypedExpr:
-        for name, vtype in reversed(self.scopes):
+        for name, t in reversed(self.scopes):
             if name == expr.name:
-                return TypedExpr(expr, vtype)
-        message = f"unknown variable '{expr.name}'"
-        return TypedExpr(expr, self.fail(ResolutionErrorKind.UNKNOWN_VARIABLE, path, message))
+                break
+        else:
+            t = self.fail(path, f"unknown variable '{expr.name}'",
+                          ResolutionErrorKind.UNKNOWN_VARIABLE)
+        return TypedExpr(expr, t)
 
     def _resolve_property(self, expr: PropertyExp, path: tuple) -> TypedExpr:
         source = _RESOLVE_BY_TYPE[type(expr.source)](self, expr.source, (path, "source"))
-        st = source.type
+        st, name, access = source.type, expr.name, None
         if st.kind is _ERROR:
-            return TypedExpr(expr, ERROR_T, (source,))
-        if st.kind is _COLLECTION:
-            t = self.fail(
-                ResolutionErrorKind.TYPE_MISMATCH,
-                path,
-                f"property '{expr.name}' needs a single object, "
-                f"source is {st}; use -> to operate on collections",
-            )
-            return TypedExpr(expr, t, (source,))
-        if st.kind is not _OBJECT:
-            t = self.fail(
-                ResolutionErrorKind.TYPE_MISMATCH,
-                path,
-                f"property '{expr.name}' accessed on {st} value",
-            )
-            return TypedExpr(expr, t, (source,))
-
-        cls = self.classes.get(st.class_name)
-        if cls is None:
-            return TypedExpr(expr, ERROR_T, (source,))
-        attr = cls._attributes.get(expr.name)
-        if attr is not None:
-            return TypedExpr(expr, _PRIMITIVE_TYPES[attr.type], (source,), attr)
-        found = self.roles.get(cls.name, {}).get(expr.name)
-        if found is not None:
-            end = found[1]
+            t = ERROR_T
+        elif st.kind is _COLLECTION:
+            t = self.fail(path, f"property '{name}' needs a single object, "
+                                f"source is {st}; use -> to operate on collections")
+        elif st.kind is not _OBJECT:
+            t = self.fail(path, f"property '{name}' accessed on {st} value")
+        elif (cls := self.classes.get(st.class_name)) is None:
+            t = self.fail(path, f"class '{st.class_name}' is not a model class",
+                          ResolutionErrorKind.UNKNOWN_PROPERTY)
+        elif (access := cls._attributes.get(name)) is not None:
+            t = _PRIMITIVE_TYPES[access.type]
+        elif (access := self.roles.get(cls.name, {}).get(name)) is not None:
+            end = access[1]
             target = object_type(end.target.name)
-            if end.multiplicity.upper == 1:
-                result = target
-            else:
-                result = collection_type(target)
-            return TypedExpr(expr, result, (source,), found)
-        t = self.fail(
-            ResolutionErrorKind.UNKNOWN_PROPERTY,
-            path,
-            f"class '{cls.name}' has no attribute or association role '{expr.name}'",
-        )
-        return TypedExpr(expr, t, (source,))
+            t = target if end.multiplicity.upper == 1 else collection_type(target)
+        else:
+            t = self.fail(path, f"class '{cls.name}' has no attribute or association "
+                                f"role '{name}'", ResolutionErrorKind.UNKNOWN_PROPERTY)
+        return TypedExpr(expr, t, (source,), access)
 
     def _resolve_operation(self, expr: OperationCallExp, path: tuple) -> TypedExpr:
         left = _RESOLVE_BY_TYPE[type(expr.left)](self, expr.left, (path, "left"))
         right = _RESOLVE_BY_TYPE[type(expr.right)](self, expr.right, (path, "right"))
-        children = (left, right)
-        lt, rt = left.type, right.type
-        if lt.kind is _ERROR or rt.kind is _ERROR:
-            return TypedExpr(expr, ERROR_T, children)
-        op = expr.op
-
-        if op in _LOGICAL:
-            result = BOOL_T
-            for side, t in (("left", lt), ("right", rt)):
-                if t.kind is not _BOOL:
-                    result = self.fail(
-                        ResolutionErrorKind.TYPE_MISMATCH,
-                        (path, side),
-                        f"'{op.value}' needs Bool operands, got {t}",
-                    )
-            return TypedExpr(expr, result, children)
-
-        if op in _EQUALITY:
+        lt, rt, op = left.type, right.type, expr.op
+        lk, rk = lt.kind, rt.kind
+        if lk is _ERROR or rk is _ERROR:
+            t = ERROR_T
+        elif op in _LOGICAL:
+            t = BOOL_T
+            for side, st in (("left", lt), ("right", rt)):
+                if st.kind is not _BOOL:
+                    t = self.fail((path, side), f"'{op.value}' needs Bool operands, got {st}")
+        elif op in _EQUALITY:
             comparable = (
-                (lt.kind in _NUMERIC and rt.kind in _NUMERIC)
-                or (lt.kind is rt.kind and lt.kind in (_STR, _BOOL, _DATE))
-                or (lt.kind is _OBJECT and rt.kind is _OBJECT and lt.class_name == rt.class_name)
+                (lk in _NUMERIC and rk in _NUMERIC)
+                or (lk is rk and lk in (_STR, _BOOL, _DATE))
+                or (lk is _OBJECT and rk is _OBJECT and lt.class_name == rt.class_name)
             )
-            if not comparable:
-                t = self.fail(
-                    ResolutionErrorKind.TYPE_MISMATCH,
-                    path,
-                    f"cannot compare {lt} and {rt} with '{op.value}'",
-                )
-                return TypedExpr(expr, t, children)
-            return TypedExpr(expr, BOOL_T, children)
-
-        if op in _ORDERING:
-            ordered = (lt.kind in _NUMERIC and rt.kind in _NUMERIC) or (
-                lt.kind is _DATE and rt.kind is _DATE
-            )
-            if not ordered:
-                t = self.fail(
-                    ResolutionErrorKind.TYPE_MISMATCH,
-                    path,
-                    f"cannot order {lt} and {rt} with '{op.value}'",
-                )
-                return TypedExpr(expr, t, children)
-            return TypedExpr(expr, BOOL_T, children)
-
-        # Arithmetic.
-        if not (lt.kind in _NUMERIC and rt.kind in _NUMERIC):
-            t = self.fail(
-                ResolutionErrorKind.TYPE_MISMATCH,
-                path,
-                f"operator '{op.value}' needs numeric operands, got {lt} and {rt}",
-            )
-            return TypedExpr(expr, t, children)
-        result = INT_T if op is not _DIV and lt.kind is _INT and rt.kind is _INT else REAL_T
-        return TypedExpr(expr, result, children)
+            t = BOOL_T if comparable else self.fail(
+                path, f"cannot compare {lt} and {rt} with '{op.value}'")
+        elif op in _ORDERING:
+            ordered = (lk in _NUMERIC and rk in _NUMERIC) or (lk is _DATE and rk is _DATE)
+            t = BOOL_T if ordered else self.fail(
+                path, f"cannot order {lt} and {rt} with '{op.value}'")
+        elif not (lk in _NUMERIC and rk in _NUMERIC):  # arithmetic
+            t = self.fail(path, f"operator '{op.value}' needs numeric operands, got {lt} and {rt}")
+        else:
+            t = INT_T if op is not _DIV and lk is _INT and rk is _INT else REAL_T
+        return TypedExpr(expr, t, (left, right))
 
     def _resolve_unary(self, expr: UnaryExp, path: tuple) -> TypedExpr:
         operand = _RESOLVE_BY_TYPE[type(expr.operand)](self, expr.operand, (path, "operand"))
         t = operand.type
         if t.kind is _ERROR:
-            return TypedExpr(expr, ERROR_T, (operand,))
-        if expr.op is _NOT:
-            if t.kind is not _BOOL:
-                t = self.fail(
-                    ResolutionErrorKind.TYPE_MISMATCH,
-                    path,
-                    f"'not' needs a Bool operand, got {t}",
-                )
-        elif t.kind not in _NUMERIC:
-            t = self.fail(
-                ResolutionErrorKind.TYPE_MISMATCH,
-                path,
-                f"unary '-' needs a numeric operand, got {t}",
-            )
+            pass
+        elif expr.op is _NOT and t.kind is not _BOOL:
+            t = self.fail(path, f"'not' needs a Bool operand, got {t}")
+        elif expr.op is not _NOT and t.kind not in _NUMERIC:
+            t = self.fail(path, f"unary '-' needs a numeric operand, got {t}")
         return TypedExpr(expr, t, (operand,))
 
     def _resolve_if(self, expr: IfExp, path: tuple) -> TypedExpr:
         cond = _RESOLVE_BY_TYPE[type(expr.condition)](self, expr.condition, (path, "condition"))
         then = _RESOLVE_BY_TYPE[type(expr.then_branch)](self, expr.then_branch, (path, "then"))
         orelse = _RESOLVE_BY_TYPE[type(expr.else_branch)](self, expr.else_branch, (path, "else"))
-        children = (cond, then, orelse)
         if cond.type.kind not in (_BOOL, _ERROR):
-            self.fail(
-                ResolutionErrorKind.TYPE_MISMATCH,
-                (path, "condition"),
-                f"'if' condition must be Bool, got {cond.type}",
-            )
+            self.fail((path, "condition"), f"'if' condition must be Bool, got {cond.type}")
         tt, et = then.type, orelse.type
         if tt.kind is _ERROR or et.kind is _ERROR:
-            return TypedExpr(expr, ERROR_T, children)
-        if tt == et:
-            return TypedExpr(expr, tt, children)
-        if tt.kind in _NUMERIC and et.kind in _NUMERIC:
-            return TypedExpr(expr, REAL_T, children)
-        t = self.fail(
-            ResolutionErrorKind.TYPE_MISMATCH,
-            path,
-            f"'if' branches have different types: {tt} vs {et}",
-        )
-        return TypedExpr(expr, t, children)
+            t = ERROR_T
+        elif tt == et:
+            t = tt
+        elif tt.kind in _NUMERIC and et.kind in _NUMERIC:
+            t = REAL_T
+        else:
+            t = self.fail(path, f"'if' branches have different types: {tt} vs {et}")
+        return TypedExpr(expr, t, (cond, then, orelse))
 
     def _resolve_iterator(self, expr: IteratorExp, path: tuple) -> TypedExpr:
         source = _RESOLVE_BY_TYPE[type(expr.source)](self, expr.source, (path, "source"))
-        st = source.type
+        st, kind = source.type, expr.kind
         element = ERROR_T
         if st.kind is _COLLECTION:
             element = st.element or ERROR_T
         elif st.kind is not _ERROR:
-            self.fail(
-                ResolutionErrorKind.TYPE_MISMATCH,
-                (path, "source"),
-                f"'{expr.kind.value}' needs a collection source, got {st}",
-            )
+            self.fail((path, "source"), f"'{kind.value}' needs a collection source, got {st}")
 
         if expr.var_type_name is not None and element.kind is not _ERROR:
             if element.kind is not _OBJECT:
-                self.fail(
-                    ResolutionErrorKind.TYPE_MISMATCH,
-                    path,
-                    f"iterator variable '{expr.var_name}' ranges over {element}, "
-                    f"a class annotation does not apply",
-                )
+                self.fail(path, f"iterator variable '{expr.var_name}' ranges over {element}, "
+                                f"a class annotation does not apply")
             elif expr.var_type_name != element.class_name:
-                self.fail(
-                    ResolutionErrorKind.TYPE_MISMATCH,
-                    path,
-                    f"iterator variable '{expr.var_name}' is declared "
-                    f"{expr.var_type_name} but ranges over {element.class_name}",
-                )
+                self.fail(path, f"iterator variable '{expr.var_name}' is declared "
+                                f"{expr.var_type_name} but ranges over {element.class_name}")
 
         self.scopes.append((expr.var_name, element))
         body = _RESOLVE_BY_TYPE[type(expr.body)](self, expr.body, (path, "body"))
         self.scopes.pop()
-        children = (source, body)
         bt = body.type
-
-        if expr.kind in _PREDICATES:
-            if bt.kind not in (_BOOL, _ERROR):
-                t = self.fail(
-                    ResolutionErrorKind.TYPE_MISMATCH,
-                    (path, "body"),
-                    f"'{expr.kind.value}' body must be Bool, got {bt}",
-                )
-                return TypedExpr(expr, t, children)
-            if element.kind is _ERROR or bt.kind is _ERROR:
-                return TypedExpr(expr, ERROR_T, children)
-            if expr.kind in _QUANTIFIERS:
-                return TypedExpr(expr, BOOL_T, children)
-            return TypedExpr(expr, collection_type(element), children)
-
-        # collect
         if bt.kind is _ERROR:
-            return TypedExpr(expr, ERROR_T, children)
-        if bt.kind is _COLLECTION:
-            return TypedExpr(expr, bt, children)  # flattens one level
-        return TypedExpr(expr, collection_type(bt), children)
+            t = ERROR_T
+        elif kind is _COLLECT:  # flattens a collection body one level
+            t = bt if bt.kind is _COLLECTION else collection_type(bt)
+        elif bt.kind is not _BOOL:
+            t = self.fail((path, "body"), f"'{kind.value}' body must be Bool, got {bt}")
+        elif element.kind is _ERROR:
+            t = ERROR_T
+        elif kind in _QUANTIFIERS:
+            t = BOOL_T
+        else:
+            t = collection_type(element)
+        return TypedExpr(expr, t, (source, body))
 
     def _resolve_collection_op(self, expr: CollectionOpExp, path: tuple) -> TypedExpr:
         source = _RESOLVE_BY_TYPE[type(expr.source)](self, expr.source, (path, "source"))
         st = source.type
         if st.kind is _ERROR:
-            return TypedExpr(expr, ERROR_T, (source,))
-        if st.kind is not _COLLECTION:
-            t = self.fail(
-                ResolutionErrorKind.TYPE_MISMATCH,
-                (path, "source"),
-                f"'{expr.op.value}()' needs a collection source, got {st}",
-            )
-            return TypedExpr(expr, t, (source,))
-        result = INT_T if expr.op is _SIZE else BOOL_T
-        return TypedExpr(expr, result, (source,))
+            t = ERROR_T
+        elif st.kind is not _COLLECTION:
+            t = self.fail((path, "source"),
+                          f"'{expr.op.value}()' needs a collection source, got {st}")
+        else:
+            t = INT_T if expr.op is _SIZE else BOOL_T
+        return TypedExpr(expr, t, (source,))
 
 
 class _ByNodeType(dict):
@@ -425,21 +342,14 @@ def resolve(ast: ConstraintAst, model: StructuralModel) -> TypedConstraint:
     resolver = _Resolver(model)
     context_class = model.class_named(ast.context_class_name)
     if context_class is None:
-        resolver.fail(
-            ResolutionErrorKind.UNKNOWN_CONTEXT_CLASS,
-            (None, "context"),
-            f"unknown context class '{ast.context_class_name}'",
-        )
+        resolver.fail((None, "context"), f"unknown context class '{ast.context_class_name}'",
+                      ResolutionErrorKind.UNKNOWN_CONTEXT_CLASS)
     else:
         resolver.self_type = object_type(context_class.name)
 
     body = _RESOLVE_BY_TYPE[type(ast.body)](resolver, ast.body, (None, "body"))
     if body.type.kind not in (_BOOL, _ERROR):
-        resolver.fail(
-            ResolutionErrorKind.TYPE_MISMATCH,
-            (None, "body"),
-            f"invariant body must be Bool, got {body.type}",
-        )
+        resolver.fail((None, "body"), f"invariant body must be Bool, got {body.type}")
     if resolver.errors:
         raise ResolutionFailure(resolver.errors)
     assert context_class is not None

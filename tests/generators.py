@@ -158,7 +158,7 @@ def make_random_model(rng: random.Random) -> StructuralModel:
 # ---------- Random model documents ----------
 
 _DOC_CLASSES = ["A", "B", "C"]
-_DOC_ROLES = ["p", "q", "r", "s", "t", "u"]
+_DOC_ROLES = ["p", "q", "r", "s", "t", "x"]  # x is an attribute name too
 _DOC_TYPES = ["int", "real", "str", "bool", "date"]
 
 
@@ -177,7 +177,7 @@ def make_random_model_document(rng: random.Random) -> dict:
     """A well-formed bocl-model/1 document of up to four classes and three
     associations, each a self-association at times. One time in five a class,
     attribute, association or constraint name is repeated, and the roles come
-    from a pool of six, so that some are ambiguous."""
+    from a pool of six, so that some are ambiguous or share an attribute's name."""
     names = _with_repeat(rng, rng.sample(_DOC_CLASSES, rng.randint(1, 3)))
     classes = [
         {"name": name, "attributes": [

@@ -446,8 +446,8 @@ def _structural_errors(classes: list, associations: list, constraints: list) -> 
             if target not in class_names:
                 errors.append(f"error: {path}.{label}: end target '{target}' is not a model class")
 
-    for cls in class_names:
-        seen = []
+    for cls, attributes in classes:
+        seen = [attr for attr, _ in attributes]
         for name, (end1, end2) in associations:
             for (role, _, _, _), (_, near, _, _) in ((end1, end2), (end2, end1)):
                 if near != cls:

@@ -140,6 +140,19 @@ def test_check_reports_resolution_error(tmp_path, model_doc, capsys):
     assert "pagecount" in capsys.readouterr().err
 
 
+def test_check_reports_a_context_that_is_not_the_expressions(tmp_path, model_doc, capsys):
+    # The JSON context and the one in the text must agree, or the constraint
+    # would be checked on one class and declared on another.
+    model_doc["constraints"][0]["context"] = "Library"
+    code = main(["check", write(tmp_path, "m.json", model_doc)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "LibaryCollect: OK\n"
+    assert captured.err == (
+        "BookPageNumber: context: expression context 'Book' is not the constraint's "
+        "context 'Library'\n")
+
+
 def test_check_emit_ast(tmp_path, model_path, model_doc, capsys):
     out_dir = tmp_path / "out"
     code = main(["check", str(model_path), "--emit-ast", str(out_dir)])

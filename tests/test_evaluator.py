@@ -467,6 +467,25 @@ def test_evaluate_all_isolates_failures(built_model, built_objects):
     assert report.results[1].verdict.overall is VerdictKind.TRUE
 
 
+def test_evaluate_all_survives_a_slot_of_the_wrong_type(built_model):
+    # An object model that was never validated: Book.pages holds a str, so
+    # comparing it raises TypeError, and only its own constraint is an Error.
+    book = built_model.class_named("Book")
+    constraints = (
+        ConstraintDef("pages", book, "context Book inv p: self.pages > 0"),
+        ConstraintDef("title", book, "context Book inv t: self.title <> ''"),
+    )
+    model = StructuralModel(
+        built_model.name, built_model.classes, built_model.associations, constraints
+    )
+    report = evaluate_all(model, build_library_objects(model, pages="abc"))
+    pages, title = (result.verdict for result in report.results)
+    assert pages.overall is VerdictKind.ERROR
+    assert pages.error_message == (
+        "Exception Occured! Info: '>' not supported between instances of 'str' and 'int'")
+    assert title.overall is VerdictKind.TRUE
+
+
 def test_compile_model_yields_each_constraint_in_order(built_model):
     book = built_model.class_named("Book")
     constraints = (

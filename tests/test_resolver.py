@@ -21,7 +21,15 @@ from bocl.ast import (
     expr_to_json,
 )
 from bocl.evaluator import VerdictKind, evaluate_constraint
-from bocl.model import Attribute
+from bocl.model import (
+    AssociationEnd,
+    Attribute,
+    BinaryAssociation,
+    ClassDef,
+    Multiplicity,
+    PrimitiveType,
+    StructuralModel,
+)
 from bocl.parser import parse_constraint
 from bocl.resolver import (
     ResolutionErrorKind,
@@ -106,6 +114,20 @@ def test_property_nodes_hold_the_models_own_records(library_model):
                 assert node.access is model.navigable_ends(cls)[node.node.name]
             kinds.add(type(node.access))
     assert kinds == {Attribute, tuple}
+
+
+def test_navigating_to_a_class_outside_the_model_is_an_error():
+    # Only a hand-built model can have an end whose class is not one of its
+    # classes; resolve must not type the property Error without saying why.
+    a = ClassDef("A", (Attribute("x", PrimitiveType.INT),))
+    ghost = ClassDef("Ghost", (Attribute("x", PrimitiveType.INT),))
+    one = Multiplicity(1, 1)
+    assoc = BinaryAssociation("ag", AssociationEnd("a", a, one), AssociationEnd("g", ghost, one))
+    model = StructuralModel("m", (a,), (assoc,))
+    errors = errors_of(model, "context A inv: self.g.x > 0")
+    assert [(e.kind, e.ast_path, e.message) for e in errors] == [
+        (ResolutionErrorKind.UNKNOWN_PROPERTY, "body.left", "class 'Ghost' is not a model class")
+    ]
 
 
 def test_comparing_string_to_int(built_model):
