@@ -241,13 +241,13 @@ def compile_model(
     """
     for con in model.constraints:
         try:
-            ast = parse_constraint(con.expression)
-            if ast.context_class_name != con.context_class.name:
+            parsed = parse_constraint(con.expression)
+            if parsed.context_class_name != con.context_class.name:
                 raise ResolutionFailure([ResolutionError(
                     ResolutionErrorKind.UNKNOWN_CONTEXT_CLASS, "context",
-                    f"expression context '{ast.context_class_name}' is not the "
+                    f"expression context '{parsed.context_class_name}' is not the "
                     f"constraint's context '{con.context_class.name}'")])
-            yield con, resolve(ast, model)
+            yield con, resolve(parsed, model)
         except (ParseError, ResolutionFailure) as error:
             yield con, error
 
