@@ -111,18 +111,38 @@ _OPERATORS = {
 }
 _LITERALS = (IntegerLiteralExp, RealLiteralExp, StringLiteralExp, BooleanLiteralExp)
 _LOAD, _STORE = ast.Load(), ast.Store()
+# Each expression and statement node is located as it is built: no pass over the tree.
+_AT = {"lineno": 1, "col_offset": 0}
 
 
-def _load(name: str) -> ast.Name:
-    return ast.Name(name, _LOAD)
+def _load(name: str, context: ast.expr_context = _LOAD) -> ast.Name:
+    return ast.Name(name, context, **_AT)
 
 
 def _get(value: ast.expr, attribute: str) -> ast.Attribute:
-    return ast.Attribute(value, attribute, _LOAD)
+    return ast.Attribute(value, attribute, _LOAD, **_AT)
 
 
 def _call(function: str | ast.expr, *args: ast.expr) -> ast.Call:
-    return ast.Call(_load(function) if isinstance(function, str) else function, list(args), [])
+    return ast.Call(_load(function) if isinstance(function, str) else function, list(args), [], **_AT)
+
+
+def _member(typed: TypedExpr) -> TypedExpr | None:
+    """e, when typed is nav->exists(v | v = e) or nav->exists(v | e = v) with nav
+    a to-many navigation and e an object expression in which no v occurs."""
+    (source, body), var = typed.children, VariableExp(typed.node.var_name)
+    if (typed.node.kind is IteratorKind.EXISTS and isinstance(source.access, tuple)
+            and isinstance(body.node, OperationCallExp) and body.node.op is InfixOperator.EQ
+            and body.children[0].type.kind is TypeKind.OBJECT):
+        for v, e in (body.children, body.children[::-1]):
+            if v.node == var:
+                stack = [e]  # not recursive: e may nest MAX_DEPTH levels
+                while stack:
+                    if (node := stack.pop()).node == var:
+                        return None
+                    stack.extend(node.children)
+                return e
+    return None
 
 
 def _generate(typed: TypedConstraint, objects: ObjectModel) -> Callable[[list, Callable], None]:
@@ -141,57 +161,68 @@ def _generate(typed: TypedConstraint, objects: ObjectModel) -> Callable[[list, C
         if isinstance(node, VariableExp):
             return _load(next(py for ocl, py in reversed(variables) if ocl == node.name))
         if isinstance(node, _LITERALS):
-            return ast.Constant(node.value)
+            return ast.Constant(node.value, **_AT)
         if isinstance(node, IteratorExp):
             return iterator(typed, in_source)
 
         parts = [expr(child, in_source) for child in typed.children]
         if isinstance(node, UnaryExp):
-            return ast.UnaryOp(_OPERATORS[node.op](), parts[0])
+            return ast.UnaryOp(_OPERATORS[node.op](), parts[0], **_AT)
         if isinstance(node, OperationCallExp):
             (left, right), op = parts, _OPERATORS[node.op]()
             if isinstance(op, ast.boolop):
                 # and/or are short-circuit, left to right.
-                return ast.BoolOp(op, parts)
+                return ast.BoolOp(op, parts, **_AT)
             if isinstance(op, ast.cmpop):
                 if typed.children[0].type.kind is TypeKind.OBJECT:
                     # Objects are equal when they are the same named object.
                     left, right = _get(left, "name"), _get(right, "name")
-                return ast.Compare(left, [op], [right])
+                return ast.Compare(left, [op], [right], **_AT)
             if isinstance(op, ast.Div):
                 # A zero divisor is falsy, so it gives way to a call that raises.
-                right = ast.BoolOp(ast.Or(), [right, _call("_zero_divisor")])
-            return ast.BinOp(left, op, right)
+                right = ast.BoolOp(ast.Or(), [right, _call("_zero_divisor")], **_AT)
+            return ast.BinOp(left, op, right, **_AT)
         if isinstance(node, CollectionOpExp):
             if node.op is CollectionOp.IS_EMPTY:
-                return ast.UnaryOp(ast.Not(), parts[0])
+                return ast.UnaryOp(ast.Not(), parts[0], **_AT)
             return _call("len" if node.op is CollectionOp.SIZE else "bool", parts[0])
         if isinstance(node, IfExp):
             # Only the taken branch is evaluated.
-            return ast.IfExp(*parts)
+            return ast.IfExp(*parts, **_AT)
 
         source, access = parts[0], typed.access
         if isinstance(access, Attribute):
-            key = ast.Constant(access.name)
+            key = ast.Constant(access.name, **_AT)
             if in_source:
                 return _call("_slot", source, key)
             # (_t1 if (_t1 := obj.slots.get(key)) is not None else _slot(obj, key)),
             # where obj is source, bound to _t0 unless it is a name.
             again = source if isinstance(source, ast.Name) else _load(f"_t{next(count)}")
-            obj = source if again is source else ast.NamedExpr(ast.Name(again.id, _STORE), source)
+            obj = source if again is source else ast.NamedExpr(_load(again.id, _STORE), source, **_AT)
             value = f"_t{next(count)}"
-            read = ast.NamedExpr(ast.Name(value, _STORE), _call(_get(_get(obj, "slots"), "get"), key))
-            held = ast.Compare(read, [ast.IsNot()], [ast.Constant(None)])
-            return ast.IfExp(held, _load(value), _call("_slot", again, key))
+            read = ast.NamedExpr(_load(value, _STORE), _call(_get(_get(obj, "slots"), "get"), key), **_AT)
+            held = ast.Compare(read, [ast.IsNot()], [ast.Constant(None, **_AT)], **_AT)
+            return ast.IfExp(held, _load(value), _call("_slot", again, key), **_AT)
         # The resolver picked this (association, end) from the model's role
         # table, the one navigate() reads, so the row toward it is bound here once.
         row = f"_r{next(count)}"
         namespace[row] = _far_rows(objects, *access)
         if typed.type.kind is TypeKind.OBJECT:  # the resolver's to-one decision
-            return _call("_to_one", _load(row), source, ast.Constant(access[1].role))
-        return _call(_get(_load(row), "get"), _get(source, "name"), ast.Constant(()))
+            return _call("_to_one", _load(row), source, ast.Constant(access[1].role, **_AT))
+        return _call(_get(_load(row), "get"), _get(source, "name"), ast.Constant((), **_AT))
 
     def iterator(typed: TypedExpr, in_source: bool) -> ast.expr:
+        member = None if in_source else _member(typed)
+        if member is not None:
+            # (e.name in _t) if (_t := _s.get(near.name)) else False, _s mapping each near
+            # name to its far names: near, then e only on a non-empty row, as any() does.
+            nav, table, found = typed.children[0], f"_s{next(count)}", f"_t{next(count)}"
+            namespace[table] = {near: {far.name for far in row}
+                                for near, row in _far_rows(objects, *nav.access).items()}
+            near = _get(expr(nav.children[0], False), "name")
+            row = ast.NamedExpr(_load(found, _STORE), _call(_get(_load(table), "get"), near), **_AT)
+            test = ast.Compare(_get(expr(member, False), "name"), [ast.In()], [_load(found)], **_AT)
+            return ast.IfExp(row, test, ast.Constant(False, **_AT), **_AT)
         kind, var = typed.node.kind, f"_v{next(count)}"
         source = expr(typed.children[0], True)
         # collect flattens a collection-valued body one level, through a
@@ -200,30 +231,29 @@ def _generate(typed: TypedConstraint, objects: ObjectModel) -> Callable[[list, C
         variables.append((typed.node.var_name, var))
         body = expr(typed.children[1], in_source or flatten)
         variables.pop()
-        loops = [ast.comprehension(ast.Name(var, _STORE), source, [], 0)]
+        loops = [ast.comprehension(_load(var, _STORE), source, [], 0)]
         if kind is IteratorKind.FOR_ALL or kind is IteratorKind.EXISTS:
             # all and any stop at the first body value that decides them.
             function = "all" if kind is IteratorKind.FOR_ALL else "any"
-            return _call(function, ast.GeneratorExp(body, loops))
+            return _call(function, ast.GeneratorExp(body, loops, **_AT))
         if kind is IteratorKind.SELECT or kind is IteratorKind.REJECT:
-            test = body if kind is IteratorKind.SELECT else ast.UnaryOp(ast.Not(), body)
+            test = body if kind is IteratorKind.SELECT else ast.UnaryOp(ast.Not(), body, **_AT)
             loops[0].ifs.append(test)
         elif not flatten:
-            return ast.ListComp(body, loops)
+            return ast.ListComp(body, loops, **_AT)
         else:
             var = f"_v{next(count)}"
-            loops.append(ast.comprehension(ast.Name(var, _STORE), body, [], 0))
-        return ast.ListComp(_load(var), loops)
+            loops.append(ast.comprehension(_load(var, _STORE), body, [], 0))
+        return ast.ListComp(_load(var), loops, **_AT)
 
     # def _check(_instances, _append):
     #     for self in _instances: _append((self.name, <body>))
-    holds = ast.Tuple([_get(_load("self"), "name"), expr(typed.body, False)], _LOAD)
-    check = ast.Expr(_call("_append", holds))
-    loop = ast.For(ast.Name("self", _STORE), _load("_instances"), [check], [])
-    parameters = ast.arguments([], [ast.arg("_instances"), ast.arg("_append")], None, [], [], None, [])
-    module = ast.Module([ast.FunctionDef("_check", parameters, [loop], [], type_params=[])], [])
-    for node in ast.walk(module):  # not ast.fix_missing_locations, which recurses per level
-        node.lineno, node.col_offset = 1, 0
+    holds = ast.Tuple([_get(_load("self"), "name"), expr(typed.body, False)], _LOAD, **_AT)
+    check = ast.Expr(_call("_append", holds), **_AT)
+    loop = ast.For(_load("self", _STORE), _load("_instances"), [check], [], **_AT)
+    arguments = [ast.arg("_instances", **_AT), ast.arg("_append", **_AT)]
+    parameters = ast.arguments([], arguments, None, [], [], None, [])
+    module = ast.Module([ast.FunctionDef("_check", parameters, [loop], [], type_params=[], **_AT)], [])
     exec(compile(module, "<bocl constraint>", "exec"), namespace)
     return namespace.pop("_check")  # so the function and its globals go with the last reference
 
@@ -261,9 +291,9 @@ def evaluate_constraint(
 
     The body is compiled once per call. Zero instances yield True
     vacuously. The first runtime error, an Integer too large to convert
-    to Real, or a slot value of the wrong type in an object model that was
-    not validated turns the verdict into Error, keeping the per-instance
-    results gathered so far.
+    to Real, or a slot value of the wrong type or slots that are not a dict,
+    in an object model that was not validated, turns the verdict into Error,
+    keeping the per-instance results gathered so far.
     """
     if name is None:
         name = typed.ast.constraint_name or typed.ast.context_class_name
@@ -271,7 +301,7 @@ def evaluate_constraint(
     per_instance: list[tuple[str, bool]] = []
     try:
         check(instances_of(objects, typed.context_class), per_instance.append)
-    except (EvalError, OverflowError, TypeError) as error:
+    except (EvalError, OverflowError, TypeError, AttributeError) as error:
         return ConstraintVerdict(name, VerdictKind.ERROR, tuple(per_instance), str(error))
     ok = all(holds for _, holds in per_instance)
     return ConstraintVerdict(

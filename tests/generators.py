@@ -1,6 +1,6 @@
 """Seeded random generators for round-trip and differential testing.
 
-Three families:
+Four families:
 
 * gen_syntactic_constraint: arbitrary well-formed trees over the Library
   vocabulary, for print/parse round-trips. No typing discipline.
@@ -9,6 +9,9 @@ Three families:
   ('items'), plus type-correct random constraints for differential
   evaluation. Runtime errors (missing slots, division by zero, empty
   scalar navigation) are intentionally reachable.
+* add_pick_role / gen_member_constraint: the two-class scenario with a
+  to-one role toward B, and constraints that plant x.items->exists(v | v = e)
+  among the shapes above, for differential evaluation of that shape.
 * make_random_model_document: small bocl-model/1 documents over few names,
   so that repeated class names, self-associations and roles ambiguous from
   one or more classes are common, for differential loading.
@@ -527,6 +530,94 @@ def gen_typed_constraint(
         context = rng.choice(["A", "B"])
     gen = _TypedGen(rng, context)
     return ConstraintAst(context, Stereotype.INV, "generated", gen.gen_bool(max_depth))
+
+
+# ---------- Planted membership tests: nav->exists(v | v = e) ----------
+
+def add_pick_role(
+    rng: random.Random, model: StructuralModel, objects: ObjectModel
+) -> tuple[StructuralModel, ObjectModel]:
+    """model and objects with one more association, a to-one role 'pick' from
+    A toward B, linked for about half of the A objects: a B-typed expression
+    that the scenario's own roles cannot give, and that may have no link."""
+    cls_a, cls_b = model.class_named("A"), model.class_named("B")
+    assoc = BinaryAssociation(
+        "ap",
+        AssociationEnd("pickedBy", cls_a, Multiplicity(0, None)),
+        AssociationEnd("pick", cls_b, Multiplicity(0, 1)),
+    )
+    bs = [obj for obj in objects.objects if obj.classifier is cls_b]
+    links = [
+        (f"p{k}", assoc, obj, rng.choice(bs))
+        for k, obj in enumerate(objects.objects)
+        if obj.classifier is cls_a and bs and rng.random() < 0.5
+    ]
+    model = StructuralModel(model.name, model.classes, model.associations + (assoc,), ())
+    return model, ObjectModel(objects.name, objects.objects, objects.links + tuple(links))
+
+
+class _MemberGen(_TypedGen):
+    """_TypedGen over an add_pick_role scenario, which also plants
+    x.items->exists(v | v = e) and its mirror e = v among its Bool
+    expressions. e is any B-typed expression: self, an outer variable,
+    x.pick (to-one, perhaps with no link), an if, v itself, an expression
+    with v in scope, or an if on an inner iterator that reuses v's name."""
+
+    def _object_sources(self, cls: str, depth: int) -> list:
+        sources = super()._object_sources(cls, depth)
+        if cls == "B" and depth >= 1:
+            inner = self._object_sources("A", depth - 1)
+            if inner:
+                sources.append(lambda: PropertyExp(self.rng.choice(inner)(), "pick"))
+        if depth >= 2:
+            sources.append(lambda: IfExp(
+                self.gen_bool(depth - 1),
+                self.gen_object(cls, depth - 1),
+                self.gen_object(cls, depth - 1),
+            ))
+        return sources
+
+    def gen_bool(self, depth: int) -> Expr:
+        if depth >= 2 and self.rng.random() < 0.3:
+            return self.gen_member(depth)
+        return super().gen_bool(depth)
+
+    def gen_member(self, depth: int) -> Expr:
+        rng = self.rng
+        var = self._fresh_var()
+        pick = rng.randrange(5 if depth >= 3 else 2) if rng.random() < 0.6 else 4
+        if pick == 0:
+            e: Expr = VariableExp(var)
+        elif pick == 1:  # v in scope, so e may name it at any depth
+            self.scope.append((var, _t_obj("B")))
+            e = self.gen_object("B", depth - 1)
+            self.scope.pop()
+        elif pick == 2:  # an inner iterator named v, whose body may read v
+            self.scope.append((var, _t_obj("B")))
+            body = self.gen_bool(depth - 2) if rng.random() < 0.5 else OperationCallExp(
+                InfixOperator.EQ, VariableExp(var), self.gen_object("B", depth - 2))
+            self.scope.pop()
+            inner = IteratorExp(
+                PropertyExp(self.gen_object("A", depth - 2), "items"), IteratorKind.EXISTS,
+                var, None, body)
+            e = IfExp(inner, self.gen_object("B", depth - 2), self.gen_object("B", depth - 2))
+        else:
+            e = self.gen_object("B", depth - 1)
+        left, right = VariableExp(var), e
+        if rng.random() < 0.5:
+            left, right = right, left
+        source = PropertyExp(self.gen_object("A", depth - 1), "items")
+        return IteratorExp(
+            source, IteratorKind.EXISTS, var, "B" if rng.random() < 0.2 else None,
+            OperationCallExp(InfixOperator.EQ, left, right))
+
+
+def gen_member_constraint(rng: random.Random, max_depth: int = 4) -> ConstraintAst:
+    """A constraint over an add_pick_role scenario whose body is one planted
+    membership test, with more of them, and every other _TypedGen shape, inside."""
+    context = rng.choice(["A", "B"])
+    body = _MemberGen(rng, context).gen_member(max_depth)
+    return ConstraintAst(context, Stereotype.INV, "member", body)
 
 
 # ---------- Total predicates over one iterator variable ----------

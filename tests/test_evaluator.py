@@ -49,6 +49,8 @@ from bocl.resolver import ResolutionFailure, TypedConstraint, resolve
 
 from conftest import build_library_objects, report_to_document
 from generators import (
+    add_pick_role,
+    gen_member_constraint,
     gen_total_predicate,
     gen_typed_constraint,
     make_random_model,
@@ -341,6 +343,7 @@ KEYWORD_CONSTRAINTS = [
     "context Item inv k: self.len->select(A | A.class.lambda = self.lambda)->forAll(B | B.class = self)",
     "context Item inv k: self.len->reject(A | A.None)->collect(B | B.class)->forAll(A | A.class > 0)",
     "context Item inv k: self.class - self.len->size() > 0 or self.lambda = 'x'",
+    "context Item inv k: self.len->forAll(A | self.len->exists(B | B = A) and A.class.len->exists(B | A = B))",
 ]
 
 # Python keywords and builtins, and each name the generator itself uses.
@@ -387,7 +390,7 @@ def test_no_input_name_reaches_the_generated_code(text):
         ast = dataclasses.replace(parsed, body=_renamed(parsed.body, {"A": a, "B": b}))
         overall.add(assert_matches_reference(ast, model, objects).overall)
         names = _code_names(_generate(resolve(ast, model), objects).__code__)
-        stray = {n for n in names - GENERATED_NAMES if not re.fullmatch(r"_[vtr]\d+", n)}
+        stray = {n for n in names - GENERATED_NAMES if not re.fullmatch(r"_[vtrs]\d+", n)}
         assert not stray, (text, a, b)
     # The names change no verdict.
     assert len(overall) == 1
@@ -427,6 +430,11 @@ DEEP_SHAPES = {
         + "->select(b | b.pages > 1 and b.locatedIn.name <> '')" * n
         + "->forAll(c | c.pages > 1)"
     ),
+    # A set lookup, whose e is searched for b without recursion.
+    "exists_member": lambda n: (
+        "context Book inv d: self.locatedIn.contains->exists(b | b = "
+        + "if self.pages > 0 then " * n + "self" + " else self endif" * n + ")"
+    ),
 }
 
 
@@ -436,6 +444,82 @@ def test_deepest_constraint_matches_reference(built_model, built_objects, shape)
     ast = _deepest(DEEP_SHAPES[shape])
     verdict = assert_matches_reference(ast, built_model, built_objects)
     assert (verdict.overall is VerdictKind.ERROR) == (shape == "divide_by_zero")
+
+
+# -- nav->exists(v | v = e) as a set lookup --
+
+def _member_scenario():
+    """A/B with a to-one A.pick toward B. a0 owns no B and picks none, a1 owns
+    and picks b1, and a2 owns b0 and picks none."""
+    model, _ = add_pick_role(random.Random(0), make_random_model(random.Random(0)), ObjectModel("-"))
+    items, pick = model.associations
+    a0, a1, a2 = (ObjectInstance(f"a{k}", model.class_named("A"), {}) for k in range(3))
+    b0, b1 = (ObjectInstance(f"b{k}", model.class_named("B"), {}) for k in range(2))
+    links = (("l0", items, a1, b1), ("l1", items, a2, b0), ("p0", pick, a1, b1))
+    return model, ObjectModel("member", (a0, a1, a2, b0, b1), links)
+
+
+def _set_lookups(typed, objects):
+    return {n for n in _code_names(_generate(typed, objects).__code__) if re.fullmatch(r"_s\d+", n)}
+
+
+# (body over context A, whether it compiles to a set lookup, overall verdict)
+MEMBER_CASES = [
+    # e is evaluated only on a non-empty row: a0 False, a1 True, a2 has no pick.
+    ("self.items->exists(v | v = self.pick)", True, "Error"),
+    ("self.items->exists(v | self.pick = v)", True, "Error"),
+    # In another iterator's body, where := is allowed.
+    ("self.items->forAll(w | self.items->exists(v | v = w))", True, "True"),
+    # An inner iterator named v: when its body reads v, the rewrite is refused,
+    # though it would be correct.
+    ("self.items->exists(v | v = if self.items->exists(v | true) then self.pick else self.pick endif)",
+     True, "Error"),
+    ("self.items->exists(v | v = if self.items->exists(v | v.owner = self) then self.pick else self.pick endif)",
+     False, "Error"),
+    # e names v.
+    ("self.items->exists(v | v = v)", False, "False"),
+    ("self.items->exists(v | v.owner.pick = v)", False, "Error"),
+    ("self.items->exists(v | v = if self.items->exists(v | true) then self.pick else v.owner.pick endif)",
+     False, "Error"),
+    # Inside an iterator's source, where Python rejects :=, it stays any().
+    ("self.items->select(w | self.items->exists(v | v = w))->exists(x | x = x)", False, "False"),
+    ("self.items->collect(w | w.owner.items->select(u | w.owner.items->exists(v | u = v)))->size() >= 0",
+     False, "True"),
+    # Not the shape: <>, and a source that is not a navigation.
+    ("self.items->exists(v | v <> self.pick)", False, "Error"),
+    ("self.items->select(w | true)->exists(v | v = self.pick)", False, "Error"),
+]
+
+
+@pytest.mark.parametrize("body, looked_up, overall", MEMBER_CASES)
+def test_membership_matches_reference(body, looked_up, overall):
+    model, objects = _member_scenario()
+    ast = parse_constraint(f"context A inv m: {body}")
+    verdict = assert_matches_reference(ast, model, objects)
+    assert verdict.overall.value == overall
+    assert bool(_set_lookups(resolve(ast, model), objects)) == looked_up
+
+
+def test_membership_on_the_far_side_of_a_to_one_role():
+    # self.owner.items->exists(b | b = self), as the benchmark's shelvedWhereListed.
+    model, objects = _member_scenario()
+    ast = parse_constraint("context B inv m: self.owner.items->exists(v | v = self)")
+    assert assert_matches_reference(ast, model, objects).overall is VerdictKind.TRUE
+    assert _set_lookups(resolve(ast, model), objects)
+
+
+def test_planted_membership_matches_reference():
+    # Random scenarios whose bodies plant nav->exists(v | v = e) or e = v,
+    # with e any B-typed expression, nested in every other generated shape.
+    rng = random.Random(23)
+    looked_up = errors = 0
+    for _ in range(300):
+        model = make_random_model(rng)
+        model, objects = add_pick_role(rng, model, make_random_objects(rng, model))
+        ast = gen_member_constraint(rng)
+        looked_up += bool(_set_lookups(resolve(ast, model), objects))
+        errors += assert_matches_reference(ast, model, objects).overall is VerdictKind.ERROR
+    assert 0 < looked_up < 300 and 0 < errors < 300
 
 
 # -- whole-model evaluation --
@@ -484,6 +568,34 @@ def test_evaluate_all_survives_a_slot_of_the_wrong_type(built_model):
     assert pages.error_message == (
         "Exception Occured! Info: '>' not supported between instances of 'str' and 'int'")
     assert title.overall is VerdictKind.TRUE
+
+
+def test_evaluate_all_survives_an_object_without_slots(built_model, built_objects):
+    # An object model that was never validated: book_obj's slots are None, so
+    # reading one raises AttributeError, and only the constraints that read
+    # one of its slots are Errors.
+    book = built_model.class_named("Book")
+    constraints = (
+        ConstraintDef("pages", book, "context Book inv p: self.pages > 0"),
+        ConstraintDef("shelved", book,
+                      "context Book inv s: self.locatedIn.contains->exists(b | b = self)"),
+        ConstraintDef("named", built_model.class_named("Library"),
+                      "context Library inv n: self.name <> ''"),
+    )
+    model = StructuralModel(
+        built_model.name, built_model.classes, built_model.associations, constraints
+    )
+    bare = {obj.name: obj for obj in built_objects.objects}
+    bare["book_obj"] = ObjectInstance("book_obj", book, None)
+    links = tuple((name, assoc, bare[end1.name], bare[end2.name])
+                  for name, assoc, end1, end2 in built_objects.links)
+    report = evaluate_all(model, ObjectModel("bare", tuple(bare.values()), links))
+    pages, shelved, named = (result.verdict for result in report.results)
+    assert pages.overall is VerdictKind.ERROR
+    assert pages.error_message == (
+        "Exception Occured! Info: 'NoneType' object has no attribute 'get'")
+    assert shelved.overall is VerdictKind.TRUE
+    assert named.overall is VerdictKind.TRUE
 
 
 def test_compile_model_yields_each_constraint_in_order(built_model):
