@@ -74,11 +74,11 @@ class EvaluationReport:
 #
 # A resolved body becomes one Python function that loops over the instances,
 # built from stdlib ast nodes, not source text. No name in it comes from the
-# input: iterator variables are _v<n>, temporaries _t<n> and adjacency rows
-# _r<n>; literals, slot keys and role names are constants. Values are plain
-# Python, with a list or tuple for collections, and the resolver has proved
-# every operand's type. Python's arithmetic gives the typing rules: Int op
-# Int stays int, / always gives float, and mixed operands promote.
+# input: iterator variables are _v<n>, adjacency rows _r<n> and membership
+# tables _s<n>; literals, slot keys and role names are constants. Values are
+# plain Python, with a list or tuple for collections, and the resolver has
+# proved every operand's type. Python's arithmetic gives the typing rules: Int
+# op Int stays int, / always gives float, and mixed operands promote.
 
 def _slot(obj: ObjectInstance, attribute: str) -> object:
     value = obj.slots.get(attribute)
@@ -129,18 +129,12 @@ def _call(function: str | ast.expr, *args: ast.expr) -> ast.Call:
 
 def _member(typed: TypedExpr) -> TypedExpr | None:
     """e, when typed is nav->exists(v | v = e) or nav->exists(v | e = v) with nav
-    a to-many navigation and e an object expression in which no v occurs."""
+    a to-many navigation and e self or a variable other than v, so e cannot raise."""
     (source, body), var = typed.children, VariableExp(typed.node.var_name)
     if (typed.node.kind is IteratorKind.EXISTS and isinstance(source.access, tuple)
-            and isinstance(body.node, OperationCallExp) and body.node.op is InfixOperator.EQ
-            and body.children[0].type.kind is TypeKind.OBJECT):
+            and isinstance(body.node, OperationCallExp) and body.node.op is InfixOperator.EQ):
         for v, e in (body.children, body.children[::-1]):
-            if v.node == var:
-                stack = [e]  # not recursive: e may nest MAX_DEPTH levels
-                while stack:
-                    if (node := stack.pop()).node == var:
-                        return None
-                    stack.extend(node.children)
+            if v.node == var and e.node != var and isinstance(e.node, (SelfExp, VariableExp)):
                 return e
     return None
 
@@ -152,9 +146,8 @@ def _generate(typed: TypedConstraint, objects: ObjectModel) -> Callable[[list, C
     variables: list[tuple[str, str]] = []  # (OCL name, Python name), innermost last
     count = itertools.count()
 
-    def expr(typed: TypedExpr, in_source: bool) -> ast.expr:
-        """typed as a Python expression. in_source: inside an iterator's
-        source, where Python rejects :=, so slots are read through a call."""
+    def expr(typed: TypedExpr) -> ast.expr:
+        """typed as a Python expression."""
         node = typed.node
         if isinstance(node, SelfExp):
             return _load("self")
@@ -163,9 +156,9 @@ def _generate(typed: TypedConstraint, objects: ObjectModel) -> Callable[[list, C
         if isinstance(node, _LITERALS):
             return ast.Constant(node.value, **_AT)
         if isinstance(node, IteratorExp):
-            return iterator(typed, in_source)
+            return iterator(typed)
 
-        parts = [expr(child, in_source) for child in typed.children]
+        parts = [expr(child) for child in typed.children]
         if isinstance(node, UnaryExp):
             return ast.UnaryOp(_OPERATORS[node.op](), parts[0], **_AT)
         if isinstance(node, OperationCallExp):
@@ -193,16 +186,11 @@ def _generate(typed: TypedConstraint, objects: ObjectModel) -> Callable[[list, C
         source, access = parts[0], typed.access
         if isinstance(access, Attribute):
             key = ast.Constant(access.name, **_AT)
-            if in_source:
-                return _call("_slot", source, key)
-            # (_t1 if (_t1 := obj.slots.get(key)) is not None else _slot(obj, key)),
-            # where obj is source, bound to _t0 unless it is a name.
-            again = source if isinstance(source, ast.Name) else _load(f"_t{next(count)}")
-            obj = source if again is source else ast.NamedExpr(_load(again.id, _STORE), source, **_AT)
-            value = f"_t{next(count)}"
-            read = ast.NamedExpr(_load(value, _STORE), _call(_get(_get(obj, "slots"), "get"), key), **_AT)
-            held = ast.Compare(read, [ast.IsNot()], [ast.Constant(None, **_AT)], **_AT)
-            return ast.IfExp(held, _load(value), _call("_slot", again, key), **_AT)
+            read = _call("_slot", source, key)
+            if not isinstance(source, ast.Name):
+                return read  # so the source is evaluated once
+            # A falsy value is read again by _slot, which returns it.
+            return ast.BoolOp(ast.Or(), [_call(_get(_get(source, "slots"), "get"), key), read], **_AT)
         # The resolver picked this (association, end) from the model's role
         # table, the one navigate() reads, so the row toward it is bound here once.
         row = f"_r{next(count)}"
@@ -211,25 +199,23 @@ def _generate(typed: TypedConstraint, objects: ObjectModel) -> Callable[[list, C
             return _call("_to_one", _load(row), source, ast.Constant(access[1].role, **_AT))
         return _call(_get(_load(row), "get"), _get(source, "name"), ast.Constant((), **_AT))
 
-    def iterator(typed: TypedExpr, in_source: bool) -> ast.expr:
-        member = None if in_source else _member(typed)
+    def iterator(typed: TypedExpr) -> ast.expr:
+        member = _member(typed)
         if member is not None:
-            # (e.name in _t) if (_t := _s.get(near.name)) else False, _s mapping each near
-            # name to its far names: near, then e only on a non-empty row, as any() does.
-            nav, table, found = typed.children[0], f"_s{next(count)}", f"_t{next(count)}"
+            # e.name in _s.get(near.name, ()), _s mapping each near name to its far names.
+            nav, table = typed.children[0], f"_s{next(count)}"
             namespace[table] = {near: {far.name for far in row}
                                 for near, row in _far_rows(objects, *nav.access).items()}
-            near = _get(expr(nav.children[0], False), "name")
-            row = ast.NamedExpr(_load(found, _STORE), _call(_get(_load(table), "get"), near), **_AT)
-            test = ast.Compare(_get(expr(member, False), "name"), [ast.In()], [_load(found)], **_AT)
-            return ast.IfExp(row, test, ast.Constant(False, **_AT), **_AT)
+            row = _call(_get(_load(table), "get"), _get(expr(nav.children[0]), "name"),
+                        ast.Constant((), **_AT))
+            return ast.Compare(_get(expr(member), "name"), [ast.In()], [row], **_AT)
         kind, var = typed.node.kind, f"_v{next(count)}"
-        source = expr(typed.children[0], True)
+        source = expr(typed.children[0])
         # collect flattens a collection-valued body one level, through a
         # second loop, so that body is an iterator source too.
         flatten = kind is IteratorKind.COLLECT and typed.children[1].type.kind is TypeKind.COLLECTION
         variables.append((typed.node.var_name, var))
-        body = expr(typed.children[1], in_source or flatten)
+        body = expr(typed.children[1])
         variables.pop()
         loops = [ast.comprehension(_load(var, _STORE), source, [], 0)]
         if kind is IteratorKind.FOR_ALL or kind is IteratorKind.EXISTS:
@@ -248,7 +234,7 @@ def _generate(typed: TypedConstraint, objects: ObjectModel) -> Callable[[list, C
 
     # def _check(_instances, _append):
     #     for self in _instances: _append((self.name, <body>))
-    holds = ast.Tuple([_get(_load("self"), "name"), expr(typed.body, False)], _LOAD, **_AT)
+    holds = ast.Tuple([_get(_load("self"), "name"), expr(typed.body)], _LOAD, **_AT)
     check = ast.Expr(_call("_append", holds), **_AT)
     loop = ast.For(_load("self", _STORE), _load("_instances"), [check], [], **_AT)
     arguments = [ast.arg("_instances", **_AT), ast.arg("_append", **_AT)]

@@ -237,6 +237,7 @@ _REJECTIONS = [
     ("wrong-schema-version", ast_from_json, _document(schemaVersion="bocl-ast/99"),
      ValueError, "unsupported AST schema version 'bocl-ast/99'"),
     ("encode-non-node", expr_to_json, 42, TypeError, "not an expression node: 42"),
+    ("print-non-node", pretty_print, 42, TypeError, "not an expression node: 42"),
     ("encode-constraint", expr_to_json, ConstraintAst("Book", Stereotype.INV, None, SelfExp()),
      TypeError, "not an expression node: ConstraintAst(context_class_name='Book', "
      "stereotype=<Stereotype.INV: 'inv'>, constraint_name=None, body=SelfExp())"),

@@ -390,7 +390,7 @@ def test_no_input_name_reaches_the_generated_code(text):
         ast = dataclasses.replace(parsed, body=_renamed(parsed.body, {"A": a, "B": b}))
         overall.add(assert_matches_reference(ast, model, objects).overall)
         names = _code_names(_generate(resolve(ast, model), objects).__code__)
-        stray = {n for n in names - GENERATED_NAMES if not re.fullmatch(r"_[vtrs]\d+", n)}
+        stray = {n for n in names - GENERATED_NAMES if not re.fullmatch(r"_[vrs]\d+", n)}
         assert not stray, (text, a, b)
     # The names change no verdict.
     assert len(overall) == 1
@@ -430,8 +430,13 @@ DEEP_SHAPES = {
         + "->select(b | b.pages > 1 and b.locatedIn.name <> '')" * n
         + "->forAll(c | c.pages > 1)"
     ),
-    # A set lookup, whose e is searched for b without recursion.
+    # A set lookup, whose near object is a deep if.
     "exists_member": lambda n: (
+        "context Book inv d: " + "(if self.pages > 0 then " * n + "self.locatedIn"
+        + " else self.locatedIn endif)" * n + ".contains->exists(b | b = self)"
+    ),
+    # A walk, whose e is a deep if.
+    "exists_deep_e": lambda n: (
         "context Book inv d: self.locatedIn.contains->exists(b | b = "
         + "if self.pages > 0 then " * n + "self" + " else self endif" * n + ")"
     ),
@@ -444,6 +449,7 @@ def test_deepest_constraint_matches_reference(built_model, built_objects, shape)
     ast = _deepest(DEEP_SHAPES[shape])
     verdict = assert_matches_reference(ast, built_model, built_objects)
     assert (verdict.overall is VerdictKind.ERROR) == (shape == "divide_by_zero")
+    assert bool(_set_lookups(resolve(ast, built_model), built_objects)) == (shape == "exists_member")
 
 
 # -- nav->exists(v | v = e) as a set lookup --
@@ -465,26 +471,25 @@ def _set_lookups(typed, objects):
 
 # (body over context A, whether it compiles to a set lookup, overall verdict)
 MEMBER_CASES = [
-    # e is evaluated only on a non-empty row: a0 False, a1 True, a2 has no pick.
-    ("self.items->exists(v | v = self.pick)", True, "Error"),
-    ("self.items->exists(v | self.pick = v)", True, "Error"),
-    # In another iterator's body, where := is allowed.
-    ("self.items->forAll(w | self.items->exists(v | v = w))", True, "True"),
-    # An inner iterator named v: when its body reads v, the rewrite is refused,
-    # though it would be correct.
+    # e may raise, so it keeps the walk, which reads e only on a non-empty row:
+    # a0 False, a1 True, and a2 has no pick.
+    ("self.items->exists(v | v = self.pick)", False, "Error"),
+    ("self.items->exists(v | self.pick = v)", False, "Error"),
     ("self.items->exists(v | v = if self.items->exists(v | true) then self.pick else self.pick endif)",
-     True, "Error"),
+     False, "Error"),
     ("self.items->exists(v | v = if self.items->exists(v | v.owner = self) then self.pick else self.pick endif)",
      False, "Error"),
+    # e is another variable, in another iterator's body.
+    ("self.items->forAll(w | self.items->exists(v | v = w))", True, "True"),
     # e names v.
     ("self.items->exists(v | v = v)", False, "False"),
     ("self.items->exists(v | v.owner.pick = v)", False, "Error"),
     ("self.items->exists(v | v = if self.items->exists(v | true) then self.pick else v.owner.pick endif)",
      False, "Error"),
-    # Inside an iterator's source, where Python rejects :=, it stays any().
-    ("self.items->select(w | self.items->exists(v | v = w))->exists(x | x = x)", False, "False"),
+    # e is another variable, inside an iterator's source.
+    ("self.items->select(w | self.items->exists(v | v = w))->exists(x | x = x)", True, "False"),
     ("self.items->collect(w | w.owner.items->select(u | w.owner.items->exists(v | u = v)))->size() >= 0",
-     False, "True"),
+     True, "True"),
     # Not the shape: <>, and a source that is not a navigation.
     ("self.items->exists(v | v <> self.pick)", False, "Error"),
     ("self.items->select(w | true)->exists(v | v = self.pick)", False, "Error"),
@@ -520,6 +525,78 @@ def test_planted_membership_matches_reference():
         looked_up += bool(_set_lookups(resolve(ast, model), objects))
         errors += assert_matches_reference(ast, model, objects).overall is VerdictKind.ERROR
     assert 0 < looked_up < 300 and 0 < errors < 300
+
+
+# -- slot reads --
+
+def _slot_scenario(cls, attr, value):
+    """_member_scenario's model over a0, a1, b0 and b1, with ak linked to bk by
+    items and by pick. Every slot but A.d1 holds a truthy value, except attr
+    of the second object of cls, which holds value, or is missing for None."""
+    model, _ = _member_scenario()
+    items, pick = model.associations
+    truthy = {"A": {"i1": 1, "s1": "s", "b1": True}, "B": {"i2": 1, "r2": 0.5, "s2": "s"}}
+    a0, a1, b0, b1 = (
+        ObjectInstance(f"{c.lower()}{k}", model.class_named(c), dict(truthy[c]))
+        for c in "AB" for k in range(2))
+    held = (a1 if cls == "A" else b1).slots
+    if value is None:
+        del held[attr]
+    else:
+        held[attr] = value
+    links = (("l0", items, a0, b0), ("l1", items, a1, b1), ("p0", pick, a0, b0), ("p1", pick, a1, b1))
+    return model, ObjectModel("slots", (a0, a1, b0, b1), links)
+
+
+# Per class: a to-many role from it, and a to-many and a to-one role toward it.
+SLOT_ROLES = {"A": ("items", "pickedBy", "owner"), "B": ("pickedBy", "items", "pick")}
+
+# A falsy value of each int, real, str and bool attribute, as a literal.
+FALSY_SLOTS = [
+    ("A", "i1", 0, "0"), ("A", "s1", "", "''"), ("A", "b1", False, "false"),
+    ("B", "i2", 0, "0"), ("B", "r2", 0.0, "0.0"), ("B", "s2", "", "''"),
+]
+
+
+@pytest.mark.parametrize("cls, attr, value, literal", FALSY_SLOTS)
+def test_falsy_and_missing_slots_match_reference(cls, attr, value, literal):
+    read, other = f"{attr} = {literal}", "B" if cls == "A" else "A"
+    many, others, one = SLOT_ROLES[cls]
+    positions = [
+        (cls, f"self.{read}"),  # through self
+        (other, f"self.{others}->exists(x | x.{read})"),  # through an iterator variable
+        # inside an iterator's source, through an iterator variable and through self
+        (other, f"self.{others}->select(x | x.{read})->forAll(y | y.{read})"),
+        (cls, f"self.{many}->select(x | self.{read})->forAll(y | true)"),
+        (other, f"self.{one}.{read}"),  # through a to-one navigation
+    ]
+    missing = f"object '{cls.lower()}1' has no value for attribute '{attr}'"
+    for held, message in ((value, None), (None, missing)):
+        model, objects = _slot_scenario(cls, attr, held)
+        for context, body in positions:
+            verdict = assert_matches_reference(
+                parse_constraint(f"context {context} inv s: {body}"), model, objects)
+            assert verdict.error_message == message, body
+
+
+def test_a_slot_read_evaluates_a_source_that_is_not_a_name_once(built_model):
+    class CountingSlots(dict):
+        def get(self, *args):
+            self.gets += 1
+            return super().get(*args)
+
+    slots = CountingSlots(pages=0)
+    slots.gets = 0
+    # S_0 = self and S_(k+1) = (if S_k.pages = 0 then self else self endif): a
+    # source read twice would double the reads, and the generated code, at each
+    # level, so n is kept small enough for that to fail quickly.
+    n, source = 12, "self"
+    for _ in range(n):
+        source = f"(if {source}.pages = 0 then self else self endif)"
+    book = ObjectInstance("b", built_model.class_named("Book"), slots)
+    verdict = run(built_model, ObjectModel("m", (book,)), f"context Book inv v: {source}.pages = 0")
+    assert verdict.per_instance == (("b", True),)
+    assert slots.gets <= 2 * (n + 1)
 
 
 # -- whole-model evaluation --

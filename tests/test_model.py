@@ -316,6 +316,13 @@ def test_link_to_missing_object_is_left_to_the_loader(built_model):
         assert all(d.severity is Severity.WARNING for d in diags)
     objects = ObjectModel("m", (b,), (("l", lib_book, ghost, b),))
     assert navigate(objects, b, "locatedIn", built_model) == [ghost]
+    # Another error makes the links be walked to name end-class errors; the
+    # link whose association is not in the model is skipped there too.
+    magazine = ObjectInstance("m1", ClassDef("Magazine"), {})
+    objects = ObjectModel("m", (b, magazine), (("l", foreign, b, b),))
+    assert [str(d) for d in validate_conformance(objects, built_model)] == [
+        "error: objects[m1]: unknown class 'Magazine'"
+    ]
 
 
 # -- queries --
