@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 from .model import INT64_MAX, INT64_MIN
@@ -293,13 +293,6 @@ _NODES = {
 
 _KIND_OF_CLASS = {cls: (kind, spec) for kind, (cls, spec) in _NODES.items()}
 
-# The decoder reads each kind's fields in its dataclass's field order, the
-# order of the constructor's arguments.
-_DECODERS = {
-    kind: (cls, [next(triple for triple in spec if triple[1] == f.name) for f in fields(cls)])
-    for kind, (cls, spec) in _NODES.items()
-}
-
 
 def expr_to_json(expr: Expr) -> dict:
     if type(expr) not in _KIND_OF_CLASS:
@@ -361,16 +354,16 @@ def _expr_from_json(doc: dict, level: int) -> Expr:
     if level > MAX_DEPTH:
         raise ValueError("expression nests too deeply")
     kind = _expect(doc, "kind", str)
-    if kind not in _DECODERS:
+    if kind not in _NODES:
         raise ValueError(f"unknown node kind {kind!r}")
-    cls, spec = _DECODERS[kind]
-    args = []
-    for key, _, type_ in spec:
+    cls, spec = _NODES[kind]
+    args = {}
+    for key, name, type_ in spec:
         if type_ is Expr:
-            args.append(_expr_from_json(_expect(doc, key, dict), level + 1))
+            args[name] = _expr_from_json(_expect(doc, key, dict), level + 1)
         else:
-            args.append(_decode_leaf(doc, key, type_))
-    return cls(*args)
+            args[name] = _decode_leaf(doc, key, type_)
+    return cls(**args)
 
 
 def ast_to_json(ast: ConstraintAst) -> dict:

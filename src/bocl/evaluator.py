@@ -28,8 +28,7 @@ from .ast import (
 )
 from .lexer import ParseError
 from .model import (
-    Attribute, ConstraintDef, ObjectInstance, ObjectModel, StructuralModel, _far_rows,
-    instances_of)
+    Attribute, ConstraintDef, ObjectInstance, ObjectModel, StructuralModel, _far_rows)
 from .parser import parse_constraint
 from .resolver import (
     ResolutionError, ResolutionErrorKind, ResolutionFailure, TypedConstraint, TypedExpr, TypeKind,
@@ -275,18 +274,20 @@ def evaluate_constraint(
 ) -> ConstraintVerdict:
     """Evaluate the body once per context-class instance and conjoin.
 
-    The body is compiled once per call. Zero instances yield True
-    vacuously. The first runtime error, an Integer too large to convert
-    to Real, or a slot value of the wrong type or slots that are not a dict,
-    in an object model that was not validated, turns the verdict into Error,
-    keeping the per-instance results gathered so far.
+    The instances are the object model's own index row for the class, in
+    name order, which the generated function only reads. The body is
+    compiled once per call. Zero instances yield True vacuously. The first
+    runtime error, an Integer too large to convert to Real, or a slot value
+    of the wrong type or slots that are not a dict, in an object model that
+    was not validated, turns the verdict into Error, keeping the
+    per-instance results gathered so far.
     """
     if name is None:
         name = typed.ast.constraint_name or typed.ast.context_class_name
     check = _generate(typed, objects)
     per_instance: list[tuple[str, bool]] = []
     try:
-        check(instances_of(objects, typed.context_class), per_instance.append)
+        check(objects._instances.get(typed.ast.context_class_name, ()), per_instance.append)
     except (EvalError, OverflowError, TypeError, AttributeError) as error:
         return ConstraintVerdict(name, VerdictKind.ERROR, tuple(per_instance), str(error))
     ok = all(holds for _, holds in per_instance)

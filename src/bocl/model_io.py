@@ -124,6 +124,17 @@ def _load_document(path: str | Path, expected_version: str) -> dict:
     return doc
 
 
+def _raise_errors(kind: IoErrorKind, diagnostics: list[ModelDiagnostic]) -> None:
+    """Raise one IoError of kind that lists every error among diagnostics."""
+    errors = tuple(d for d in diagnostics if d.severity is Severity.ERROR)
+    if errors:
+        raise IoError(kind, "; ".join(str(d) for d in errors), errors)
+
+
+def _save_document(doc: dict, path: str | Path) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
 def _malformed(message: str) -> IoError:
     return IoError(IoErrorKind.MALFORMED, message)
 
@@ -287,19 +298,12 @@ def load_structural(path: str | Path) -> StructuralModel:
     """Load and validate a structural model; raises IoError on any failure."""
     doc = _load_document(path, MODEL_SCHEMA_VERSION)
     model = structural_from_document(doc)
-    diagnostics = validate_structural(model)
-    errors = tuple(d for d in diagnostics if d.severity is Severity.ERROR)
-    if errors:
-        raise IoError(
-            IoErrorKind.VALIDATION, "; ".join(str(d) for d in errors), errors
-        )
+    _raise_errors(IoErrorKind.VALIDATION, validate_structural(model))
     return model
 
 
 def save_structural(model: StructuralModel, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(structural_to_document(model), indent=2) + "\n", encoding="utf-8"
-    )
+    _save_document(structural_to_document(model), path)
 
 
 # ---------- Object model ----------
@@ -437,19 +441,13 @@ def load_objects(
     doc = _load_document(path, OBJECTS_SCHEMA_VERSION)
     objects = objects_from_document(doc, model)
     diagnostics = validate_conformance(objects, model)
-    errors = tuple(d for d in diagnostics if d.severity is Severity.ERROR)
-    if errors:
-        raise IoError(
-            IoErrorKind.CONFORMANCE, "; ".join(str(d) for d in errors), errors
-        )
+    _raise_errors(IoErrorKind.CONFORMANCE, diagnostics)
     warnings = [d for d in diagnostics if d.severity is Severity.WARNING]
     return objects, warnings
 
 
 def save_objects(objects: ObjectModel, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(objects_to_document(objects), indent=2) + "\n", encoding="utf-8"
-    )
+    _save_document(objects_to_document(objects), path)
 
 
 # ---------- Reports ----------

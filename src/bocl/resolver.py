@@ -30,7 +30,6 @@ from .model import (
     AssociationEnd,
     Attribute,
     BinaryAssociation,
-    ClassDef,
     PrimitiveType,
     StructuralModel,
 )
@@ -142,7 +141,6 @@ class TypedExpr:
 @dataclass(frozen=True)
 class TypedConstraint:
     ast: ConstraintAst
-    context_class: ClassDef
     body: TypedExpr
 
 
@@ -340,17 +338,15 @@ def resolve(ast: ConstraintAst, model: StructuralModel) -> TypedConstraint:
     the full error list, otherwise returns the typed tree.
     """
     resolver = _Resolver(model)
-    context_class = model.class_named(ast.context_class_name)
-    if context_class is None:
+    if model.class_named(ast.context_class_name) is None:
         resolver.fail((None, "context"), f"unknown context class '{ast.context_class_name}'",
                       ResolutionErrorKind.UNKNOWN_CONTEXT_CLASS)
     else:
-        resolver.self_type = object_type(context_class.name)
+        resolver.self_type = object_type(ast.context_class_name)
 
     body = _RESOLVE_BY_TYPE[type(ast.body)](resolver, ast.body, (None, "body"))
     if body.type.kind not in (_BOOL, _ERROR):
         resolver.fail((None, "body"), f"invariant body must be Bool, got {body.type}")
     if resolver.errors:
         raise ResolutionFailure(resolver.errors)
-    assert context_class is not None
-    return TypedConstraint(ast, context_class, body)
+    return TypedConstraint(ast, body)

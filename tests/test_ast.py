@@ -210,6 +210,12 @@ _REJECTIONS = [
      ValueError, "'map' is not a valid IteratorKind"),
     ("bad-collection-op", expr_from_json, {"kind": "CollectionOp", "op": "sum", "source": _SELF},
      ValueError, "'sum' is not a valid CollectionOp"),
+    # Of two faults in one node, the one whose key comes first in JSON key order.
+    ("bad-iterator-and-missing-source", expr_from_json,
+     {"kind": "Iterator", "iterator": "bogus", "var": "x", "varType": None, "body": _SELF},
+     ValueError, "'bogus' is not a valid IteratorKind"),
+    ("bad-collection-op-and-missing-source", expr_from_json, {"kind": "CollectionOp", "op": "sum"},
+     ValueError, "'sum' is not a valid CollectionOp"),
     ("bad-stereotype", ast_from_json, _document(stereotype="pre"),
      ValueError, "'pre' is not a valid Stereotype"),
     ("integer-beyond-64-bits", expr_from_json, {"kind": "IntegerLiteral", "value": 2**63},

@@ -32,7 +32,7 @@ from bocl.evaluator import compile_model, evaluate_all, evaluate_constraint
 from bocl.model import Attribute, ClassDef, ConstraintDef, ObjectInstance, StructuralModel
 from bocl.model_io import ReportFormat, load_objects, load_structural, write_report
 from bocl.parser import parse_constraint
-from bocl.resolver import TypedExpr, resolve
+from bocl.resolver import TypedConstraint, TypedExpr, resolve
 
 from conftest import MODEL_PATH, OBJECTS_PATH
 from generators import gen_typed_constraint, make_random_model, make_random_objects
@@ -57,6 +57,7 @@ _RECORD_FIELDS = {
     **_EXPR_FIELDS,
     ConstraintAst: ("context_class_name", "stereotype", "constraint_name", "body"),
     TypedExpr: ("node", "type", "children", "access"),
+    TypedConstraint: ("ast", "body"),
     ConstraintDef: ("name", "context_class", "expression", "language"),
     ObjectInstance: ("name", "classifier", "slots"),
 }

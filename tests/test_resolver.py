@@ -27,8 +27,11 @@ from bocl.model import (
     BinaryAssociation,
     ClassDef,
     Multiplicity,
+    ObjectInstance,
+    ObjectModel,
     PrimitiveType,
     StructuralModel,
+    instances_of,
 )
 from bocl.parser import parse_constraint
 from bocl.resolver import (
@@ -58,7 +61,15 @@ def kinds_of(model, text):
 def test_page_number_invariant_types(built_model):
     typed = resolve_text(built_model, "context Book inv invBook: self.pages > 0")
     assert typed.body.type.kind is TypeKind.BOOL
-    assert typed.context_class.name == "Book"
+    # The tree names the context once; evaluation runs over exactly that
+    # class's instances, in name order, and leaves the model's index as it was.
+    book, author = built_model.class_named("Book"), built_model.class_named("Author")
+    objects = ObjectModel("m", tuple(
+        ObjectInstance(name, cls, {"pages": 1})
+        for name, cls in (("c", book), ("b0", author), ("a", book), ("b", book))))
+    verdict = evaluate_constraint(typed, objects)
+    assert verdict.per_instance == (("a", True), ("b", True), ("c", True))
+    assert [o.name for o in instances_of(objects, book)] == ["a", "b", "c"]
 
 
 def test_attribute_access_type(built_model):
