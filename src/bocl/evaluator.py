@@ -277,10 +277,10 @@ def evaluate_constraint(
     The instances are the object model's own index row for the class, in
     name order, which the generated function only reads. The body is
     compiled once per call. Zero instances yield True vacuously. The first
-    runtime error, an Integer too large to convert to Real, or a slot value
-    of the wrong type or slots that are not a dict, in an object model that
-    was not validated, turns the verdict into Error, keeping the
-    per-instance results gathered so far.
+    runtime error, an Integer too large to convert to Real, running out of
+    memory, or a slot value of the wrong type or slots that are not a dict,
+    in an object model that was not validated, turns the verdict into
+    Error, keeping the per-instance results gathered so far.
     """
     if name is None:
         name = typed.ast.constraint_name or typed.ast.context_class_name
@@ -290,6 +290,9 @@ def evaluate_constraint(
         check(objects._instances.get(typed.ast.context_class_name, ()), per_instance.append)
     except (EvalError, OverflowError, TypeError, AttributeError) as error:
         return ConstraintVerdict(name, VerdictKind.ERROR, tuple(per_instance), str(error))
+    except MemoryError:
+        return ConstraintVerdict(
+            name, VerdictKind.ERROR, tuple(per_instance), "evaluation ran out of memory")
     ok = all(holds for _, holds in per_instance)
     return ConstraintVerdict(
         name, VerdictKind.TRUE if ok else VerdictKind.FALSE, tuple(per_instance)

@@ -70,10 +70,10 @@ def tokenize(source: str) -> list[tuple[str, str, int]]:
 
     A keyword's or symbol's tag is its text; any other token's tag is its
     shape: "ident", "int", "real" or "string". Whitespace and -- line
-    comments are skipped: a comment (group 1) takes no branch below.
-    Keywords are matched case-insensitively and normalized to lowercase; a
-    string's text is its decoded content ('' inside a literal is a single
-    quote).
+    comments are skipped: a comment (group 1) takes no branch below. A word
+    is a keyword only when it is in KEYWORDS exactly as written, so "if" is
+    a keyword and "IF" an identifier, as in OCL; a string's text is its
+    decoded content ('' inside a literal is a single quote).
     """
     entries: list[tuple[str, str, int]] = []
     append = entries.append
@@ -84,9 +84,7 @@ def tokenize(source: str) -> list[tuple[str, str, int]]:
             append((text, text, match.start(4)))
         elif group == 2:
             text = match[2]
-            word = text.lower()
-            append((word, word, match.start(2)) if word in KEYWORDS
-                   else ("ident", text, match.start(2)))
+            append((text if text in KEYWORDS else "ident", text, match.start(2)))
         elif group == 3:
             text = match[3]
             append(("real" if "." in text else "int", text, match.start(3)))

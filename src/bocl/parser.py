@@ -86,10 +86,9 @@ def parse_constraint(source: str) -> ConstraintAst:
     context = stream.expect("ident", "context class name")
 
     tag, text, offset = stream.tokens[stream.pos]
-    word = text.lower()
-    if word in _UNSUPPORTED_STEREOTYPES and tag != "string":
+    if text in _UNSUPPORTED_STEREOTYPES and tag != "string":
         raise stream.error(
-            f"unsupported stereotype '{word}': only 'inv' constraints are evaluated",
+            f"unsupported stereotype '{text}': only 'inv' constraints are evaluated",
             offset,
             ("'inv'",),
         )

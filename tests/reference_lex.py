@@ -1,8 +1,8 @@
 """Reference scanner for constraint text: the regex scanner that
-bocl.lexer.tokenize replaced, kept as it was, one match per token shape and one
-more per whitespace run. tests/test_lexer.py requires bocl.lexer.tokenize to
-give the same entries, or to raise a ParseError with the same message,
-line and column."""
+bocl.lexer.tokenize replaced, one match per token shape and one more per
+whitespace run; like tokenize, it takes a word for a keyword only as
+written. tests/test_lexer.py requires bocl.lexer.tokenize to give the same
+entries, or to raise a ParseError with the same message, line and column."""
 
 from __future__ import annotations
 
@@ -44,8 +44,8 @@ def reference_scan(source: str) -> list[tuple[str, str, int]]:
 
     A keyword's or symbol's tag is its text; any other token's tag is its
     group: "ident", "int", "real" or "string". Whitespace and -- line
-    comments are skipped. Keywords are matched case-insensitively and
-    normalized to lowercase; a string's text is its decoded content (''
+    comments are skipped. A word is a keyword only when it is in KEYWORDS
+    exactly as written; a string's text is its decoded content (''
     inside a literal is a single quote).
     """
     entries: list[tuple[str, str, int]] = []
@@ -55,8 +55,7 @@ def reference_scan(source: str) -> list[tuple[str, str, int]]:
             continue
         text = match.group()
         if tag == "word":
-            word = text.lower()
-            tag, text = (word, word) if word in KEYWORDS else ("ident", text)
+            tag = text if text in KEYWORDS else "ident"
         elif tag == "symbol":
             tag = text
         elif tag == "string":

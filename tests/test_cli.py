@@ -270,6 +270,111 @@ def test_eval_int_overflow_is_one_error(tmp_path, model_doc, objects_path, capsy
     ]
 
 
+# One Library linked to 5,000 Books: the quadratic collect builds a list
+# of 25 million references, about 200 MB, where the child may map 160 MB in
+# all, some three times what loading the objects needs. The cap is set in
+# the child alone, between fork and exec.
+_OOM_BOOKS = 5000
+_OOM_CAP = 160 << 20
+
+
+def test_eval_out_of_memory_is_one_error(tmp_path):
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS") or not sys.platform.startswith("linux"):
+        pytest.skip("needs RLIMIT_AS, which Linux enforces")
+    quadratic = ("context Library inv quadratic: "
+                 "self.contains->collect(a | self.contains)->size() > 0")
+    sized = "context Library inv sized: self.contains->size() >= 0"
+    model = {
+        "schemaVersion": "bocl-model/1", "name": "m",
+        "classes": [{"name": "Library", "attributes": []}, {"name": "Book", "attributes": []}],
+        "associations": [{"name": "holds", "ends": [
+            {"role": "locatedIn", "target": "Library", "multiplicity": {"lower": 0, "upper": 1}},
+            {"role": "contains", "target": "Book", "multiplicity": {"lower": 0, "upper": "*"}},
+        ]}],
+        "constraints": [{"name": name, "context": "Library", "expression": text, "language": "OCL"}
+                        for name, text in (("quadratic", quadratic), ("sized", sized))],
+    }
+    books = [f"b{k}" for k in range(_OOM_BOOKS)]
+    objects = {
+        "schemaVersion": "bocl-objects/1", "name": "o",
+        "objects": [{"name": "lib", "class": "Library", "slots": {}}]
+        + [{"name": book, "class": "Book", "slots": {}} for book in books],
+        "links": [{"association": "holds", "ends": [{"role": "locatedIn", "object": "lib"},
+                                                     {"role": "contains", "object": book}]}
+                  for book in books],
+    }
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (_OOM_CAP, _OOM_CAP))
+
+    src = str(Path(bocl.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bocl", "eval", write(tmp_path, "m.json", model),
+         write(tmp_path, "o.json", objects)],
+        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=60,
+    )
+    assert proc.stderr == ""
+    assert proc.returncode == 2
+    assert proc.stdout.splitlines() == [
+        f"Invariant:{quadratic}:Error(Exception Occured! Info: evaluation ran out of memory)",
+        f"Invariant:{sized}:True",
+    ]
+
+
+# As in OCL, only the lowercase words are keywords, so a model may call a
+# class Post, an attribute Context or And, a role Self and a constraint IF,
+# and its constraints may name them all.
+_KEYWORD_NAMED_CONSTRAINTS = [
+    ("Post", "context Post inv positive: self.Context > 0"),
+    ("Post", "context Post inv IF: if self.And then self.Context > 1 else true endif"),
+    ("Topic", "context Topic inv Inv: self.posts->select(Post : Post | Post.Context > 1)->size() >= 1"),
+    ("Post", "context Post inv next: self.Self.posts->exists(Self | Self.Context = self.Context + 1)"),
+]
+
+
+def test_keyword_like_names_check_and_eval(tmp_path, capsys):
+    model_path = write(tmp_path, "m.json", {
+        "schemaVersion": "bocl-model/1", "name": "Forum",
+        "classes": [
+            {"name": "Post", "attributes": [{"name": "Context", "type": "int"},
+                                            {"name": "And", "type": "bool"}]},
+            {"name": "Topic", "attributes": []},
+        ],
+        "associations": [{"name": "filed", "ends": [
+            {"role": "Self", "target": "Topic", "multiplicity": {"lower": 1, "upper": 1}},
+            {"role": "posts", "target": "Post", "multiplicity": {"lower": 0, "upper": "*"}},
+        ]}],
+        "constraints": [{"name": f"c{k}", "context": context, "expression": text, "language": "OCL"}
+                        for k, (context, text) in enumerate(_KEYWORD_NAMED_CONSTRAINTS)],
+    })
+    posts = {"p1": (1, False), "p2": (2, True), "p3": (0, True)}
+    objects_path = write(tmp_path, "o.json", {
+        "schemaVersion": "bocl-objects/1", "name": "o",
+        "objects": [{"name": "t1", "class": "Topic", "slots": {}}]
+        + [{"name": post, "class": "Post", "slots": {"Context": context, "And": flag}}
+           for post, (context, flag) in posts.items()],
+        "links": [{"association": "filed", "ends": [{"role": "Self", "object": "t1"},
+                                                     {"role": "posts", "object": post}]}
+                  for post in posts],
+    })
+
+    assert main(["check", model_path]) == 0
+    assert capsys.readouterr().out.splitlines() == ["c0: OK", "c1: OK", "c2: OK", "c3: OK"]
+
+    code = main(["eval", model_path, objects_path, "--format", "json"])
+    results = json.loads(capsys.readouterr().out)["results"]
+    model = load_structural(model_path)
+    objects, _warnings = load_objects(objects_path, model)
+    expected = [reference_verdict(parse_constraint(text), model, objects)
+                for _, text in _KEYWORD_NAMED_CONSTRAINTS]
+    assert [(r["overall"], tuple((i["object"], i["holds"]) for i in r["perInstance"]))
+            for r in results] == [(ref.overall, ref.per_instance) for ref in expected]
+    assert [ref.overall for ref in expected] == ["False", "False", "True", "False"]
+    assert code == 1
+
+
 def test_eval_closed_stdout_exits_quietly(tmp_path, model_doc, objects_path):
     # A report far larger than a pipe buffer, so the write fails mid-report.
     model_doc["constraints"] = [

@@ -66,12 +66,21 @@ def test_arrow_is_not_a_comment():
     assert [text for _, text, _ in tokens[:2]] == ["x", "->"]
 
 
-def test_keywords_case_insensitive_and_normalized():
-    assert tags_and_texts("IF Then ENDIF")[:3] == [
-        ("if", "if"),
-        ("then", "then"),
-        ("endif", "endif"),
+def test_keywords_match_only_as_written():
+    # As in OCL, keywords are lowercase reserved words: a word in any other
+    # case is an identifier, with its text unchanged.
+    assert tokenize("IF Then and")[:3] == [
+        ("ident", "IF", 0),
+        ("ident", "Then", 3),
+        ("and", "and", 8),
     ]
+    assert tags_and_texts("SELF Post Context endif") == [
+        ("ident", "SELF"), ("ident", "Post"), ("ident", "Context"), ("endif", "endif"), ("eof", ""),
+    ]
+    for word in KEYWORDS:
+        assert tokenize(word)[0] == (word, word, 0)
+        for other in (word.upper(), word.capitalize()):
+            assert tokenize(other)[0] == ("ident", other, 0)
 
 
 def test_identifiers_case_sensitive():
@@ -166,7 +175,7 @@ def test_token_positions(source, index, position):
 
 
 def test_tokens_of_multi_line_source():
-    source = "context Book inv -- header\n  self.title <> 'it''s\na' -- tail\n\tAND 1.5"
+    source = "context Book inv -- header\n  self.title <> 'it''s\na' -- tail\n\tand 1.5"
     assert [(tag, text, *lexer.position(source, offset))
             for tag, text, offset in tokenize(source)] == [
         ("context", "context", 1, 1),
@@ -211,8 +220,6 @@ def test_positions_point_at_source_text(source):
         at = source[offset:]
         if tag == "string":
             assert at.startswith("'" + text.replace("'", "''") + "'")
-        elif tag in KEYWORDS:
-            assert at.lower().startswith(text)
         else:
             assert at.startswith(text)
     assert tokens[-1] == ("eof", "", len(source))

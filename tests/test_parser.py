@@ -80,11 +80,27 @@ def test_constraint_without_name():
     assert ast.constraint_name is None
 
 
-def test_keywords_any_case():
-    ast = parse_constraint("CONTEXT Book INV x: TRUE And False")
-    assert ast.body == OperationCallExp(
-        InfixOperator.AND, BooleanLiteralExp(True), BooleanLiteralExp(False)
+def test_keywords_in_other_cases_are_identifiers():
+    # Only the lowercase words are keywords, as in OCL; any other case
+    # names a class, property, variable or constraint.
+    ast = parse_constraint("context Post inv IF: self.Context->forAll(And | And.SELF)")
+    assert (ast.context_class_name, ast.constraint_name) == ("Post", "IF")
+    assert ast.body == IteratorExp(
+        PropertyExp(SelfExp(), "Context"),
+        IteratorKind.FOR_ALL,
+        "And",
+        None,
+        PropertyExp(VariableExp("And"), "SELF"),
     )
+    with pytest.raises(ParseError) as exc:
+        parse_constraint("CONTEXT Book INV x: true")
+    assert str(exc.value) == "1:1: expected 'context', found identifier 'CONTEXT'"
+    with pytest.raises(ParseError) as exc:  # not the unsupported-stereotype error of 'pre'
+        parse_constraint("context Book PRE: self.pages > 0")
+    assert str(exc.value) == "1:14: expected 'inv', found identifier 'PRE'"
+    with pytest.raises(ParseError) as exc:
+        parse_constraint("context Book inv x: TRUE And false")
+    assert str(exc.value) == "1:26: expected end of input, found identifier 'And'"
 
 
 # -- precedence --
@@ -305,7 +321,7 @@ def test_missing_context_keyword():
         ("true 2", "1:26: expected end of input, found integer '2'"),
         ("true 1.5", "1:26: expected end of input, found real '1.5'"),
         ("true 'b'", "1:26: expected end of input, found string 'b'"),
-        ("true SELF", "1:26: expected end of input, found keyword 'self'"),
+        ("true self", "1:26: expected end of input, found keyword 'self'"),
         ("true ::", "1:26: expected end of input, found symbol '::'"),
         ("true y", "1:26: expected end of input, found identifier 'y'"),
         (")", "1:21: expected expression, found symbol ')'"),
