@@ -106,6 +106,8 @@ def _load_document(path: str | Path, expected_version: str) -> dict:
         raise IoError(IoErrorKind.NOT_FOUND, f"no such file: {path}") from None
     except OSError as error:
         raise IoError(IoErrorKind.NOT_FOUND, f"cannot read {path}: {error}") from None
+    except MemoryError:
+        raise IoError(IoErrorKind.NOT_FOUND, f"cannot read {path}: out of memory") from None
     except json.JSONDecodeError as error:
         raise IoError(
             IoErrorKind.MALFORMED, error.msg, line=error.lineno, col=error.colno
@@ -173,19 +175,16 @@ def _check_record(record: object, required: frozenset, allowed: frozenset, strin
 
 def structural_from_document(doc: dict) -> StructuralModel:
     """Build a StructuralModel from a parsed bocl-model/1 document. Each rule is
-    one inline test, in the order the loader reads the fields, and a record's
-    path is formatted only in the branch that reports its fault."""
+    one inline test, in the order the loader reads the fields. A record's path is
+    formatted only to report its fault, but for the one each class gives _list_field."""
     _check_record(doc, {"schemaVersion", "name"}, _MODEL_KEYS, ("name",), "model document")
 
     classes = []
     for i, raw in enumerate(_list_field(doc, "classes", "model document")):
         if not (isinstance(raw, dict) and raw.keys() <= _CLASS_KEYS and "name" in raw):
             _check_record(raw, {"name"}, _CLASS_KEYS, (), f"classes[{i}]")
-        araws = raw.get("attributes", [])
-        if not isinstance(araws, list):
-            raise _malformed(f"classes[{i}].attributes must be an array")
         attrs = []
-        for j, araw in enumerate(araws):
+        for j, araw in enumerate(_list_field(raw, "attributes", f"classes[{i}]")):
             if not (isinstance(araw, dict) and araw.keys() == _ATTRIBUTE_KEYS
                     and isinstance(araw["type"], str)):
                 _check_record(araw, _ATTRIBUTE_KEYS, _ATTRIBUTE_KEYS, ("type",),

@@ -35,6 +35,21 @@ def write(tmp_path, name, doc):
     return str(path)
 
 
+def python_child(args, start=subprocess.run, env=(), **kwargs):
+    """Start `python *args` in a child process that imports the bocl these
+    tests imported, src/ or an installed package, with env added to its
+    environment; start is subprocess.run or subprocess.Popen."""
+    src = str(Path(bocl.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return start([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path, **dict(env)),
+                 **kwargs)
+
+
+def run_bocl_strictly(*argv):
+    """`python -W error -m bocl *argv` in a child, with its output as bytes."""
+    return python_child(["-W", "error", "-m", "bocl", *argv], capture_output=True, timeout=60)
+
+
 def test_check_golden_model(model_path, capsys):
     code = main(["check", str(model_path)])
     out = capsys.readouterr().out.splitlines()
@@ -47,22 +62,22 @@ def test_check_golden_model(model_path, capsys):
 # as bench/run.py writes it) and what `bocl check --emit-ast` gave for it
 # when it was committed: stdout, stderr, and in the .result file the exit
 # code and the SHA-256 of the `sha256sum *.json` listing of the AST files.
-# CI compares the installed console script with the same files.
+# Each golden test runs bocl in a child with warnings as errors, and CI runs
+# the golden tests again on the installed package.
 GOLDEN = Path(__file__).resolve().parent / "data" / "check-many-s11"
 
 
-def test_check_output_matches_the_committed_golden_files(tmp_path, capsys):
+def test_check_output_matches_the_committed_golden_files(tmp_path):
     out_dir = tmp_path / "ast"
-    code = main(["check", f"{GOLDEN}.model.json", "--emit-ast", str(out_dir)])
-    captured = capsys.readouterr()
-    assert captured.out == Path(f"{GOLDEN}.stdout").read_text(encoding="utf-8")
-    assert captured.err == Path(f"{GOLDEN}.stderr").read_text(encoding="utf-8")
+    proc = run_bocl_strictly("check", f"{GOLDEN}.model.json", "--emit-ast", str(out_dir))
+    assert proc.stdout == Path(f"{GOLDEN}.stdout").read_bytes()
+    assert proc.stderr == Path(f"{GOLDEN}.stderr").read_bytes()
     listing = "".join(
         f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
         for path in sorted(out_dir.glob("*.json"))
     )
     digest = hashlib.sha256(listing.encode()).hexdigest()
-    result = f"exit {code}\nast-sha256 {digest}\n"
+    result = f"exit {proc.returncode}\nast-sha256 {digest}\n"
     assert result == Path(f"{GOLDEN}.result").read_text(encoding="utf-8")
 
 
@@ -71,18 +86,18 @@ def test_check_output_matches_the_committed_golden_files(tmp_path, capsys):
 # verdict, exit 2) and eval-linked at scale 0.05 (a multiplicity warning,
 # exit 1). With each: what `bocl eval` gave when it was committed, its text
 # report (.stdout), its JSON report (.report.json), the stderr both formats
-# give, and the exit code (.result). CI compares the console script with them.
+# give, and the exit code (.result).
 EVAL_GOLDENS = [GOLDEN.with_name(tag) for tag in ("eval-wide-s11", "eval-linked-s11")]
 
 
 @pytest.mark.parametrize("golden", EVAL_GOLDENS, ids=lambda path: path.name)
 @pytest.mark.parametrize("fmt, suffix", [("text", "stdout"), ("json", "report.json")])
-def test_eval_output_matches_the_committed_golden_files(golden, fmt, suffix, capsys):
-    code = main(["eval", f"{golden}.model.json", f"{golden}.objects.json", "--format", fmt])
-    captured = capsys.readouterr()
-    assert captured.out == Path(f"{golden}.{suffix}").read_text(encoding="utf-8")
-    assert captured.err == Path(f"{golden}.stderr").read_text(encoding="utf-8")
-    assert f"exit {code}\n" == Path(f"{golden}.result").read_text(encoding="utf-8")
+def test_eval_output_matches_the_committed_golden_files(golden, fmt, suffix):
+    proc = run_bocl_strictly(
+        "eval", f"{golden}.model.json", f"{golden}.objects.json", "--format", fmt)
+    assert proc.stdout == Path(f"{golden}.{suffix}").read_bytes()
+    assert proc.stderr == Path(f"{golden}.stderr").read_bytes()
+    assert f"exit {proc.returncode}\n" == Path(f"{golden}.result").read_text(encoding="utf-8")
 
 
 # A model with one fault of every kind validate_structural reports, and an
@@ -90,7 +105,6 @@ def test_eval_output_matches_the_committed_golden_files(golden, fmt, suffix, cap
 # validate_conformance reports for a loaded document. With each: the stderr
 # and exit code (.stderr, .result) that `bocl check` of the model and
 # `bocl eval` of the objects gave when they were committed; stdout is empty.
-# CI compares the console script with the same files.
 INVALID_GOLDENS = {
     "invalid.model": ["check", "invalid.model.json"],
     "invalid.objects": ["eval", "eval-linked-s11.model.json", "invalid.objects.json"],
@@ -98,14 +112,13 @@ INVALID_GOLDENS = {
 
 
 @pytest.mark.parametrize("name", sorted(INVALID_GOLDENS))
-def test_invalid_input_matches_the_committed_golden_files(name, capsys):
+def test_invalid_input_matches_the_committed_golden_files(name):
     command, *paths = INVALID_GOLDENS[name]
-    code = main([command, *(str(GOLDEN.with_name(path)) for path in paths)])
-    captured = capsys.readouterr()
+    proc = run_bocl_strictly(command, *(str(GOLDEN.with_name(path)) for path in paths))
     golden = GOLDEN.with_name(name)
-    assert captured.out == ""
-    assert captured.err == Path(f"{golden}.stderr").read_text(encoding="utf-8")
-    assert f"exit {code}\n" == Path(f"{golden}.result").read_text(encoding="utf-8")
+    assert proc.stdout == b""
+    assert proc.stderr == Path(f"{golden}.stderr").read_bytes()
+    assert f"exit {proc.returncode}\n" == Path(f"{golden}.result").read_text(encoding="utf-8")
 
 
 def test_check_reports_syntax_error(tmp_path, model_doc, capsys):
@@ -192,17 +205,11 @@ def test_eval_escapes_text_the_output_encoding_cannot_hold(tmp_path, model_doc, 
     expression = "context Book inv pageNumberInv: self.pages>0 and 'café' <> ''"
     model_doc["constraints"][0]["expression"] = expression
     path = write(tmp_path, "m.json", model_doc)
-    src = str(Path(bocl.__file__).resolve().parent.parent)
     outputs = {}
     for encoding in ("ascii", "utf-8"):
-        env = dict(
-            os.environ,
-            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-            PYTHONIOENCODING=encoding,
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "bocl", "eval", path, str(objects_path)],
-            capture_output=True, env=env, timeout=60,
+        proc = python_child(
+            ["-m", "bocl", "eval", path, str(objects_path)],
+            env={"PYTHONIOENCODING": encoding}, capture_output=True, timeout=60,
         )
         assert (proc.returncode, proc.stderr) == (0, b"")
         outputs[encoding] = proc.stdout.splitlines()[0]
@@ -278,10 +285,16 @@ _OOM_BOOKS = 5000
 _OOM_CAP = 160 << 20
 
 
-def test_eval_out_of_memory_is_one_error(tmp_path):
+def _cap_address_space():
+    """A preexec_fn that caps the child's address space at _OOM_CAP."""
     resource = pytest.importorskip("resource")
     if not hasattr(resource, "RLIMIT_AS") or not sys.platform.startswith("linux"):
         pytest.skip("needs RLIMIT_AS, which Linux enforces")
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (_OOM_CAP, _OOM_CAP))
+
+
+def test_eval_out_of_memory_is_one_error(tmp_path):
+    cap = _cap_address_space()
     quadratic = ("context Library inv quadratic: "
                  "self.contains->collect(a | self.contains)->size() > 0")
     sized = "context Library inv sized: self.contains->size() >= 0"
@@ -304,16 +317,9 @@ def test_eval_out_of_memory_is_one_error(tmp_path):
                                                      {"role": "contains", "object": book}]}
                   for book in books],
     }
-
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (_OOM_CAP, _OOM_CAP))
-
-    src = str(Path(bocl.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bocl", "eval", write(tmp_path, "m.json", model),
-         write(tmp_path, "o.json", objects)],
-        capture_output=True, text=True, env=env, preexec_fn=cap, timeout=60,
+    proc = python_child(
+        ["-m", "bocl", "eval", write(tmp_path, "m.json", model), write(tmp_path, "o.json", objects)],
+        capture_output=True, text=True, preexec_fn=cap, timeout=60,
     )
     assert proc.stderr == ""
     assert proc.returncode == 2
@@ -383,11 +389,9 @@ def test_eval_closed_stdout_exits_quietly(tmp_path, model_doc, objects_path):
         for con in model_doc["constraints"]
     ]
     path = write(tmp_path, "m.json", model_doc)
-    src = str(Path(bocl.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "bocl", "eval", path, str(objects_path)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    proc = python_child(
+        ["-m", "bocl", "eval", path, str(objects_path)],
+        start=subprocess.Popen, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     assert proc.stdout.read(16) == b"Invariant:contex"
     proc.stdout.close()
@@ -403,11 +407,9 @@ def test_eval_closed_stdout_exits_quietly(tmp_path, model_doc, objects_path):
     ["check", str(MODEL_PATH)],
 ], ids=["eval-text", "eval-json", "check"])
 def test_full_stdout_is_one_diagnostic(argv):
-    src = str(Path(bocl.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "bocl", *argv], stdout=full,
-                              stderr=subprocess.PIPE, env=env, timeout=60)
+        proc = python_child(["-m", "bocl", *argv], stdout=full, stderr=subprocess.PIPE,
+                            timeout=60)
     assert proc.returncode == 2
     assert proc.stderr.decode().splitlines() == [
         f"cannot write output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
@@ -625,11 +627,9 @@ def test_every_shape_nests_to_max_depth(tmp_path, model_doc, objects_path, shape
         write(tmp_path, f"m{k}.json", _with_deep_constraint(copy.deepcopy(model_doc), text))
         for k, text in enumerate(texts)
     ]
-    src = str(Path(bocl.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _AT_DEPTH, str(objects_path), *models],
-        capture_output=True, text=True, env=env, timeout=60,
+    proc = python_child(
+        ["-c", _AT_DEPTH, str(objects_path), *models],
+        capture_output=True, text=True, timeout=60,
     )
     assert proc.stderr == ""
     at_max, past_max = json.loads(proc.stdout)
@@ -659,24 +659,42 @@ UNDECODABLE = {
 }
 
 
+BAD_DOCS = ["check model", "eval model", "eval objects"]
+
+
+def _argv_reading(bad_doc, bad):
+    """bocl's arguments for one of BAD_DOCS, with the file bad in the place of
+    that document and the library model and objects in the others."""
+    command, which = bad_doc.split()
+    paths = {"model": str(MODEL_PATH), "objects": str(OBJECTS_PATH), which: str(bad)}
+    return [command, paths["model"]] + ([paths["objects"]] if command == "eval" else [])
+
+
 @pytest.mark.parametrize("kind", sorted(UNDECODABLE))
-@pytest.mark.parametrize("bad_doc", ["check model", "eval model", "eval objects"])
-def test_undecodable_json_is_malformed(
-    tmp_path, model_path, objects_path, capsys, kind, bad_doc
-):
+@pytest.mark.parametrize("bad_doc", BAD_DOCS)
+def test_undecodable_json_is_malformed(tmp_path, capsys, kind, bad_doc):
     bad = tmp_path / "bad.json"
     bad.write_bytes(UNDECODABLE[kind])
-    command, which = bad_doc.split()
-    paths = {"model": str(model_path), "objects": str(objects_path), which: str(bad)}
-    argv = [command, paths["model"]]
-    if command == "eval":
-        argv.append(paths["objects"])
-    code = main(argv)
+    code = main(_argv_reading(bad_doc, bad))
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("Malformed: ")
     assert captured.err.count("\n") == 1
+
+
+# A 9 MB document of 3,000,000 empty objects, which json.loads needs over
+# 200 MB to decode: more than the capped child may map. Decoding fails before
+# the root is checked, so the same file serves as a model and as objects.
+@pytest.mark.parametrize("bad_doc", BAD_DOCS)
+def test_document_too_large_to_decode_is_one_diagnostic(tmp_path, bad_doc):
+    cap = _cap_address_space()
+    big = tmp_path / "big.json"
+    big.write_bytes(b"[" + b"{}," * 2_999_999 + b"{}]")
+    proc = python_child(["-m", "bocl", *_argv_reading(bad_doc, big)], capture_output=True,
+                        text=True, preexec_fn=cap, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"NotFound: cannot read {big}: out of memory\n"
 
 
 def test_eval_int_slot_beyond_64_bits(tmp_path, model_path, objects_doc, capsys):
@@ -786,10 +804,8 @@ def test_mutated_constraint_text_never_escapes(fuzz_dir, data):
 
 def test_importing_the_cli_does_not_load_decimal():
     # format_real imports decimal only in its fallback branch.
-    src = str(Path(bocl.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import bocl.cli, sys; print('decimal' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60,
+    proc = python_child(
+        ["-c", "import bocl.cli, sys; print('decimal' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
