@@ -32,10 +32,12 @@ from .evaluator import (
     ConstraintVerdict,
     EvalError,
     EvaluationReport,
+    ReportFormat,
     VerdictKind,
     compile_model,
     evaluate_all,
     evaluate_constraint,
+    write_report,
 )
 from .lexer import ParseError, tokenize
 from .model import (
@@ -62,12 +64,10 @@ from .model_io import (
     IoErrorKind,
     MODEL_SCHEMA_VERSION,
     OBJECTS_SCHEMA_VERSION,
-    ReportFormat,
     load_objects,
     load_structural,
     save_objects,
     save_structural,
-    write_report,
 )
 from .parser import parse_constraint, parse_expression
 from .resolver import (

@@ -189,51 +189,40 @@ def format_string(value: str) -> str:
     return "'" + value.replace("'", "''") + "'"
 
 
-def _prec(expr: Expr) -> int:
-    if isinstance(expr, OperationCallExp):
-        return BINARY_PREC[expr.op]
-    if isinstance(expr, UnaryExp):
-        return _PREC_UNARY
-    if isinstance(expr, (PropertyExp, IteratorExp, CollectionOpExp)):
-        return _PREC_POSTFIX
-    return _PREC_PRIMARY
-
-
 def _print(expr: Expr, min_prec: int) -> str:
-    text = _print_bare(expr)
-    if _prec(expr) < min_prec:
-        return f"({text})"
-    return text
+    text, prec = _print_bare(expr)
+    return f"({text})" if prec < min_prec else text
 
 
-def _print_bare(expr: Expr) -> str:
+def _print_bare(expr: Expr) -> tuple[str, int]:
+    """The text of expr, unparenthesized, and its binding strength."""
     if isinstance(expr, SelfExp):
-        return "self"
+        return "self", _PREC_PRIMARY
     if isinstance(expr, VariableExp):
-        return expr.name
+        return expr.name, _PREC_PRIMARY
     if isinstance(expr, IntegerLiteralExp):
-        return str(expr.value)
+        return str(expr.value), _PREC_PRIMARY
     if isinstance(expr, RealLiteralExp):
-        return format_real(expr.value)
+        return format_real(expr.value), _PREC_PRIMARY
     if isinstance(expr, StringLiteralExp):
-        return format_string(expr.value)
+        return format_string(expr.value), _PREC_PRIMARY
     if isinstance(expr, BooleanLiteralExp):
-        return "true" if expr.value else "false"
+        return "true" if expr.value else "false", _PREC_PRIMARY
     if isinstance(expr, PropertyExp):
-        return f"{_print(expr.source, _PREC_POSTFIX)}.{expr.name}"
+        return f"{_print(expr.source, _PREC_POSTFIX)}.{expr.name}", _PREC_POSTFIX
     if isinstance(expr, CollectionOpExp):
-        return f"{_print(expr.source, _PREC_POSTFIX)}->{expr.op.value}()"
+        return f"{_print(expr.source, _PREC_POSTFIX)}->{expr.op.value}()", _PREC_POSTFIX
     if isinstance(expr, IteratorExp):
         source = _print(expr.source, _PREC_POSTFIX)
         var = expr.var_name
         if expr.var_type_name is not None:
             var += f" : {expr.var_type_name}"
-        return f"{source}->{expr.kind.value}({var} | {_print(expr.body, _PREC_OR)})"
+        return f"{source}->{expr.kind.value}({var} | {_print(expr.body, _PREC_OR)})", _PREC_POSTFIX
     if isinstance(expr, UnaryExp):
         if expr.op is UnaryOperator.NOT:
-            return f"not {_print(expr.operand, _PREC_UNARY)}"
+            return f"not {_print(expr.operand, _PREC_UNARY)}", _PREC_UNARY
         # Parenthesize nested unary operands so "--" never lexes as a comment.
-        return f"-{_print(expr.operand, _PREC_POSTFIX)}"
+        return f"-{_print(expr.operand, _PREC_POSTFIX)}", _PREC_UNARY
     if isinstance(expr, OperationCallExp):
         prec = BINARY_PREC[expr.op]
         # Left-associative except comparisons, which are non-associative:
@@ -241,13 +230,13 @@ def _print_bare(expr: Expr) -> str:
         left_min = prec + 1 if prec == _PREC_CMP else prec
         left = _print(expr.left, left_min)
         right = _print(expr.right, prec + 1)
-        return f"{left} {expr.op.value} {right}"
+        return f"{left} {expr.op.value} {right}", prec
     if isinstance(expr, IfExp):
         return (
             f"if {_print(expr.condition, _PREC_OR)}"
             f" then {_print(expr.then_branch, _PREC_OR)}"
             f" else {_print(expr.else_branch, _PREC_OR)} endif"
-        )
+        ), _PREC_PRIMARY
     raise TypeError(f"not an expression node: {expr!r}")
 
 

@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 from .ast import ast_to_json
-from .evaluator import VerdictKind, compile_model, evaluate_all
+from .evaluator import ReportFormat, VerdictKind, compile_model, evaluate_all, write_report
 from .lexer import ParseError
-from .model_io import IoError, ReportFormat, load_objects, load_structural, write_report
+from .model_io import IoError, _save_document, load_objects, load_structural
 from .resolver import ResolutionFailure
 
 
@@ -34,10 +33,9 @@ def cmd_check(model_path: str, emit_ast_dir: str | None = None) -> int:
         else:
             print(f"{con.name}: OK")
             if emit_dir is not None:
-                text = json.dumps(ast_to_json(typed.ast), indent=2) + "\n"
                 try:
                     emit_dir.mkdir(parents=True, exist_ok=True)
-                    (emit_dir / f"{con.name}.json").write_text(text, encoding="utf-8")
+                    _save_document(ast_to_json(typed.ast), emit_dir / f"{con.name}.json")
                 except OSError as error:
                     print(f"cannot write --emit-ast output: {error}", file=sys.stderr)
                     return 2

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import ast
 import itertools
+import json
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NoReturn
+from typing import IO, NoReturn
 
 from .ast import (
     BooleanLiteralExp,
@@ -289,14 +290,13 @@ def evaluate_constraint(
     try:
         check(objects._instances.get(typed.ast.context_class_name, ()), per_instance.append)
     except (EvalError, OverflowError, TypeError, AttributeError) as error:
-        return ConstraintVerdict(name, VerdictKind.ERROR, tuple(per_instance), str(error))
+        overall, message = VerdictKind.ERROR, str(error)
     except MemoryError:
-        return ConstraintVerdict(
-            name, VerdictKind.ERROR, tuple(per_instance), "evaluation ran out of memory")
-    ok = all(holds for _, holds in per_instance)
-    return ConstraintVerdict(
-        name, VerdictKind.TRUE if ok else VerdictKind.FALSE, tuple(per_instance)
-    )
+        overall, message = VerdictKind.ERROR, "evaluation ran out of memory"
+    else:
+        overall = VerdictKind.TRUE if all(holds for _, holds in per_instance) else VerdictKind.FALSE
+        message = None
+    return ConstraintVerdict(name, overall, tuple(per_instance), message)
 
 
 def evaluate_all(model: StructuralModel, objects: ObjectModel) -> EvaluationReport:
@@ -318,3 +318,47 @@ def evaluate_all(model: StructuralModel, objects: ObjectModel) -> EvaluationRepo
             )
         results.append(ConstraintResult(con.expression, verdict))
     return EvaluationReport(tuple(results))
+
+
+# ---------- Reports ----------
+
+class ReportFormat(Enum):
+    TEXT = "text"
+    JSON = "json"
+
+
+def _verdict_text(verdict) -> str:
+    if verdict.overall is VerdictKind.ERROR:
+        return f"Error({verdict.error_message})"
+    return verdict.overall.value
+
+
+def write_report(report: EvaluationReport, format: ReportFormat, sink: IO[str]) -> None:
+    """Write the report: one 'Invariant:<text>:<verdict>' line per
+    constraint in text mode, a {"results": [...]} document in JSON mode."""
+    if format is ReportFormat.TEXT:
+        for result in report.results:
+            sink.write(f"Invariant:{result.expression}:{_verdict_text(result.verdict)}\n")
+        return
+    # json.dump of the whole document with indent=2 runs the pure-Python
+    # encoder; this writes the same bytes, a result at a time.
+    string = json.encoder.encode_basestring_ascii
+    sink.write('{\n  "results": [')
+    for index, result in enumerate(report.results):
+        verdict = result.verdict
+        rows = ",".join([
+            f'\n        {{\n          "object": {string(obj)},\n          "holds": '
+            f'{"true" if holds else "false"}\n        }}'
+            for obj, holds in verdict.per_instance
+        ])
+        error = ""
+        if verdict.overall is VerdictKind.ERROR:
+            error = f',\n      "error": {json.dumps(verdict.error_message)}'
+        rows = f"[{rows}\n      ]" if rows else "[]"
+        sink.write(
+            f'{"," if index else ""}\n    {{\n      "name": {string(verdict.constraint_name)},'
+            f'\n      "expression": {string(result.expression)},'
+            f'\n      "overall": {string(verdict.overall.value)},'
+            f'\n      "perInstance": {rows}{error}\n    }}'
+        )
+    sink.write("\n  ]\n}\n" if report.results else "]\n}\n")

@@ -1,4 +1,4 @@
-"""Versioned JSON interchange for models, object models, and reports.
+"""Versioned JSON interchange for models and object models.
 
 Schema bocl-model/1::
 
@@ -26,9 +26,7 @@ import math
 import re
 from enum import Enum
 from pathlib import Path
-from typing import IO
 
-from .evaluator import EvaluationReport, VerdictKind
 from .model import (
     AssociationEnd,
     Attribute,
@@ -92,11 +90,6 @@ class IoError(Exception):
         self.col = col
 
 
-class ReportFormat(Enum):
-    TEXT = "text"
-    JSON = "json"
-
-
 # ---------- Shared loader helpers ----------
 
 def _load_document(path: str | Path, expected_version: str) -> dict:
@@ -106,8 +99,6 @@ def _load_document(path: str | Path, expected_version: str) -> dict:
         raise IoError(IoErrorKind.NOT_FOUND, f"no such file: {path}") from None
     except OSError as error:
         raise IoError(IoErrorKind.NOT_FOUND, f"cannot read {path}: {error}") from None
-    except MemoryError:
-        raise IoError(IoErrorKind.NOT_FOUND, f"cannot read {path}: out of memory") from None
     except json.JSONDecodeError as error:
         raise IoError(
             IoErrorKind.MALFORMED, error.msg, line=error.lineno, col=error.colno
@@ -126,11 +117,12 @@ def _load_document(path: str | Path, expected_version: str) -> dict:
     return doc
 
 
-def _raise_errors(kind: IoErrorKind, diagnostics: list[ModelDiagnostic]) -> None:
-    """Raise one IoError of kind that lists every error among diagnostics."""
+def _raise_errors(kind: IoErrorKind, diagnostics: list[ModelDiagnostic]) -> list[ModelDiagnostic]:
+    """Raise one IoError of kind that lists every error among diagnostics, else return them."""
     errors = tuple(d for d in diagnostics if d.severity is Severity.ERROR)
     if errors:
         raise IoError(kind, "; ".join(str(d) for d in errors), errors)
+    return diagnostics
 
 
 def _save_document(doc: dict, path: str | Path) -> None:
@@ -295,10 +287,13 @@ def structural_to_document(model: StructuralModel) -> dict:
 
 def load_structural(path: str | Path) -> StructuralModel:
     """Load and validate a structural model; raises IoError on any failure."""
-    doc = _load_document(path, MODEL_SCHEMA_VERSION)
-    model = structural_from_document(doc)
-    _raise_errors(IoErrorKind.VALIDATION, validate_structural(model))
-    return model
+    try:
+        model = structural_from_document(_load_document(path, MODEL_SCHEMA_VERSION))
+        _raise_errors(IoErrorKind.VALIDATION, validate_structural(model))
+        return model
+    except MemoryError:
+        model = None  # raise below, once this frame and the traceback hold no partial model
+    raise IoError(IoErrorKind.NOT_FOUND, f"cannot read {path}: out of memory")
 
 
 def save_structural(model: StructuralModel, path: str | Path) -> None:
@@ -437,52 +432,13 @@ def load_objects(
     Error diagnostics abort with IoError Conformance; warnings (for
     multiplicity counts) are returned with the result.
     """
-    doc = _load_document(path, OBJECTS_SCHEMA_VERSION)
-    objects = objects_from_document(doc, model)
-    diagnostics = validate_conformance(objects, model)
-    _raise_errors(IoErrorKind.CONFORMANCE, diagnostics)
-    warnings = [d for d in diagnostics if d.severity is Severity.WARNING]
-    return objects, warnings
+    try:
+        objects = objects_from_document(_load_document(path, OBJECTS_SCHEMA_VERSION), model)
+        return objects, _raise_errors(IoErrorKind.CONFORMANCE, validate_conformance(objects, model))
+    except MemoryError:
+        objects = None  # raise below, once this frame and the traceback hold no partial model
+    raise IoError(IoErrorKind.NOT_FOUND, f"cannot read {path}: out of memory")
 
 
 def save_objects(objects: ObjectModel, path: str | Path) -> None:
     _save_document(objects_to_document(objects), path)
-
-
-# ---------- Reports ----------
-
-def _verdict_text(verdict) -> str:
-    if verdict.overall is VerdictKind.ERROR:
-        return f"Error({verdict.error_message})"
-    return verdict.overall.value
-
-
-def write_report(report: EvaluationReport, format: ReportFormat, sink: IO[str]) -> None:
-    """Write the report: one 'Invariant:<text>:<verdict>' line per
-    constraint in text mode, a {"results": [...]} document in JSON mode."""
-    if format is ReportFormat.TEXT:
-        for result in report.results:
-            sink.write(f"Invariant:{result.expression}:{_verdict_text(result.verdict)}\n")
-        return
-    # json.dump of the whole document with indent=2 runs the pure-Python
-    # encoder; this writes the same bytes, a result at a time.
-    string = json.encoder.encode_basestring_ascii
-    sink.write('{\n  "results": [')
-    for index, result in enumerate(report.results):
-        verdict = result.verdict
-        rows = ",".join([
-            f'\n        {{\n          "object": {string(obj)},\n          "holds": '
-            f'{"true" if holds else "false"}\n        }}'
-            for obj, holds in verdict.per_instance
-        ])
-        error = ""
-        if verdict.overall is VerdictKind.ERROR:
-            error = f',\n      "error": {json.dumps(verdict.error_message)}'
-        rows = f"[{rows}\n      ]" if rows else "[]"
-        sink.write(
-            f'{"," if index else ""}\n    {{\n      "name": {string(verdict.constraint_name)},'
-            f'\n      "expression": {string(result.expression)},'
-            f'\n      "overall": {string(verdict.overall.value)},'
-            f'\n      "perInstance": {rows}{error}\n    }}'
-        )
-    sink.write("\n  ]\n}\n" if report.results else "]\n}\n")

@@ -697,6 +697,25 @@ def test_document_too_large_to_decode_is_one_diagnostic(tmp_path, bad_doc):
     assert proc.stderr == f"NotFound: cannot read {big}: out of memory\n"
 
 
+# A one-class model, and objects named by hex numerals, most of which are not
+# identifiers, so that validating the objects costs more than building them.
+# Each document decodes within the cap. On CPython 3.11 the 250,000 objects
+# run out of memory while their names are validated and reported, and the
+# 400,000 while the objects are built.
+@pytest.mark.parametrize("count", [250_000, 400_000])
+def test_objects_too_many_to_load_are_one_diagnostic(tmp_path, count):
+    cap = _cap_address_space()
+    model = {"schemaVersion": "bocl-model/1", "name": "m",
+             "classes": [{"name": "A", "attributes": []}]}
+    objects = tmp_path / "o.json"
+    records = ", ".join(f'{{"name": "{k:x}", "class": "A"}}' for k in range(count))
+    objects.write_text(f'{{"schemaVersion": "bocl-objects/1", "name": "o", "objects": [{records}]}}')
+    proc = python_child(["-m", "bocl", "eval", write(tmp_path, "m.json", model), str(objects)],
+                        capture_output=True, text=True, preexec_fn=cap, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"NotFound: cannot read {objects}: out of memory\n"
+
+
 def test_eval_int_slot_beyond_64_bits(tmp_path, model_path, objects_doc, capsys):
     for obj in objects_doc["objects"]:
         if obj["name"] == "book_obj":

@@ -1,3 +1,4 @@
+import ast
 import copy
 import datetime
 import errno
@@ -6,24 +7,27 @@ import json
 import math
 import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bocl.model_io
 from bocl.cli import main
 from bocl.evaluator import (
     ConstraintResult,
     ConstraintVerdict,
     EvaluationReport,
+    ReportFormat,
     VerdictKind,
     evaluate_all,
+    write_report,
 )
 from bocl.model import PrimitiveType, Severity, navigate, validate_structural
 from bocl.model_io import (
     IoError,
     IoErrorKind,
-    ReportFormat,
     load_objects,
     load_structural,
     objects_from_document,
@@ -32,7 +36,6 @@ from bocl.model_io import (
     save_structural,
     structural_from_document,
     structural_to_document,
-    write_report,
 )
 
 from conftest import MODEL_PATH, OBJECTS_PATH, report_to_document
@@ -44,6 +47,19 @@ from reference_load import (
     reference_load,
     reference_structural,
 )
+
+
+def test_model_io_imports_no_bocl_module_but_model():
+    # model_io reads and writes models and nothing else. Importing bocl imports
+    # every module, so sys.modules cannot show this; read the source instead.
+    source = Path(bocl.model_io.__file__).read_text(encoding="utf-8")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):  # "." alone for `from . import name`
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert {name for name in imported if name.startswith((".", "bocl"))} == {".model"}
 
 
 def test_load_golden_model(library_model):

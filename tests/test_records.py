@@ -28,9 +28,9 @@ from bocl.ast import (
     ast_to_json,
     pretty_print,
 )
-from bocl.evaluator import compile_model, evaluate_all, evaluate_constraint
+from bocl.evaluator import ReportFormat, compile_model, evaluate_all, evaluate_constraint, write_report
 from bocl.model import Attribute, ClassDef, ConstraintDef, ObjectInstance, StructuralModel
-from bocl.model_io import ReportFormat, load_objects, load_structural, write_report
+from bocl.model_io import load_objects, load_structural
 from bocl.parser import parse_constraint
 from bocl.resolver import TypedConstraint, TypedExpr, resolve
 
